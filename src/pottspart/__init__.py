@@ -12,6 +12,7 @@ The package combines three layers:
 Exact brute-force references for testing live in :mod:`pottspart.oracle`.
 """
 
+from .budgets import Budgets
 from .errors import (
     BudgetError,
     ParseError,
@@ -42,7 +43,6 @@ from .polymers import (
     truncated_log_xi,
 )
 from .potts import (
-    PottsInstance,
     PottsResult,
     approx_log_z_expander,
     approx_log_z_good_parts,
@@ -58,12 +58,12 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BudgetError",
+    "Budgets",
     "ClusterExpansion",
     "ExpanderPartition",
     "Graph",
     "ParseError",
     "PartitionParams",
-    "PottsInstance",
     "PottsResult",
     "PottspartError",
     "PreconditionError",

@@ -5,7 +5,8 @@ expander partition), ``potts`` (approximate log Z), ``oracle`` (exact log Z
 by enumeration), ``verify`` (approximation vs. oracle).
 
 Exit codes: 0 success, 1 precondition or usage failure, 2 verification
-failure, 3 enumeration budget exceeded.  All JSON output carries a
+failure, 3 enumeration budget exceeded.  Budget flags apply to the one
+invocation that passes them.  All JSON output carries a
 ``schemaVersion`` field and is byte-identical across repeated runs with the
 same inputs, flags, and seed.
 """
@@ -15,11 +16,10 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import fields
 from pathlib import Path
 
-from . import oracle as oracle_mod
-from . import polymers as polymers_mod
-from . import potts as potts_mod
+from .budgets import Budgets
 from .errors import (
     BudgetError,
     ParseError,
@@ -79,13 +79,14 @@ def _build_parser() -> _Parser:
     model.add_argument("--q", type=int, required=True, help="number of colours (>= 2)")
     model.add_argument("--beta", type=float, required=True, help="inverse temperature")
 
-    budgets = argparse.ArgumentParser(add_help=False)
-    budgets.add_argument(
+    state_budget = argparse.ArgumentParser(add_help=False)
+    state_budget.add_argument(
         "--budget-states",
         type=int,
         metavar="N",
         help="override the exact-enumeration state budget (loud warning)",
     )
+    budgets = argparse.ArgumentParser(add_help=False, parents=[state_budget])
     budgets.add_argument(
         "--budget-ground-states",
         type=int,
@@ -143,9 +144,6 @@ def _build_parser() -> _Parser:
         type=float,
         help="smallest good part size as a fraction of n (mode with-partition)",
     )
-    approx.add_argument(
-        "--threads", type=int, default=1, help="worker threads (default 1)"
-    )
 
     gen = sub.add_parser(
         "generate",
@@ -178,7 +176,7 @@ def _build_parser() -> _Parser:
     )
     sub.add_parser(
         "oracle",
-        parents=[graph_in, fmt, model, budgets],
+        parents=[graph_in, fmt, model, state_budget],
         help="exact log Z by full enumeration",
     )
     sub.add_parser(
@@ -214,54 +212,47 @@ def _parse_parts(text: str) -> list[list[int]]:
     return parts
 
 
-_BUDGET_TARGETS = {
-    "budget_states": (oracle_mod, "STATE_BUDGET", "exact-enumeration states"),
-    "budget_ground_states": (potts_mod, "GROUND_STATE_CAP", "ground states"),
-    "budget_polymers": (polymers_mod, "POLYMER_COUNT_BUDGET", "polymers"),
-    "budget_clusters": (polymers_mod, "CLUSTER_BUDGET", "cluster-expansion terms"),
-}
-
-
-def _apply_budget_overrides(args: argparse.Namespace) -> None:
-    for attr, (module, name, label) in _BUDGET_TARGETS.items():
-        value = getattr(args, attr, None)
-        if value is None:
-            continue
-        if value < 1:
-            raise PreconditionError(f"budget for {label} must be >= 1, got {value}")
-        default = getattr(module, name)
-        setattr(module, name, value)
+def _budgets(args: argparse.Namespace) -> Budgets:
+    """The budgets this invocation runs under; warns for each override."""
+    overrides = {
+        f.name: getattr(args, f"budget_{f.name}")
+        for f in fields(Budgets)
+        if getattr(args, f"budget_{f.name}", None) is not None
+    }
+    budgets = Budgets(**overrides)
+    for name, value in overrides.items():
         print(
-            f"warning: {label} budget overridden to {value} (default {default}); "
-            f"budgets guard runtime and memory",
+            f"warning: --budget-{name.replace('_', '-')} overridden to {value} "
+            f"(default {getattr(Budgets(), name)}); budgets guard runtime and memory",
             file=sys.stderr,
         )
+    return budgets
 
 
-def _run_pipeline(args: argparse.Namespace, g: Graph) -> PottsResult:
+def _run_pipeline(args: argparse.Namespace, g: Graph, budgets: Budgets) -> PottsResult:
     if args.mode == "sse":
         if args.k is None:
             raise PreconditionError("mode sse requires --k")
         return approx_log_z_sse(
-            g, args.k, args.q, args.beta, args.eps, args.C, threads=args.threads
+            g, args.k, args.q, args.beta, args.eps, args.C, budgets=budgets
         )
     if args.mode == "expander":
         if args.alpha is None:
             raise PreconditionError("mode expander requires --alpha")
         return approx_log_z_expander(
-            g, args.q, args.beta, args.eps, args.alpha, threads=args.threads
+            g, args.q, args.beta, args.eps, args.alpha, budgets=budgets
         )
     if args.parts is None:
         raise PreconditionError(f"mode {args.mode} requires --parts")
     parts = _parse_parts(args.parts)
     if args.mode == "good-parts":
         return approx_log_z_good_parts(
-            g, parts, args.q, args.beta, args.eps, threads=args.threads
+            g, parts, args.q, args.beta, args.eps, budgets=budgets
         )
     if args.eta is None:
         raise PreconditionError("mode with-partition requires --eta")
     return approx_log_z_with_partition(
-        g, parts, args.q, args.beta, args.eps, args.eta, threads=args.threads
+        g, parts, args.q, args.beta, args.eps, args.eta, budgets=budgets
     )
 
 
@@ -319,18 +310,18 @@ def _render_result_text(d: dict) -> str:
 
 
 def _cmd_potts(args: argparse.Namespace) -> int:
-    _apply_budget_overrides(args)
+    budgets = _budgets(args)
     g = _load_graph(args.input)
-    result = _run_pipeline(args, g)
+    result = _run_pipeline(args, g, budgets)
     payload = {"schemaVersion": SCHEMA_VERSION, **result.to_dict()}
     _emit(payload, args, _render_result_text(payload))
     return 0
 
 
 def _cmd_oracle(args: argparse.Namespace) -> int:
-    _apply_budget_overrides(args)
+    budgets = _budgets(args)
     g = _load_graph(args.input)
-    value = exact_log_z(g, args.q, args.beta)
+    value = exact_log_z(g, args.q, args.beta, budget=budgets.states)
     payload = {
         "schemaVersion": SCHEMA_VERSION,
         "logZ": value,
@@ -342,10 +333,10 @@ def _cmd_oracle(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
-    _apply_budget_overrides(args)
+    budgets = _budgets(args)
     g = _load_graph(args.input)
-    result = _run_pipeline(args, g)
-    exact = exact_log_z(g, args.q, args.beta)
+    result = _run_pipeline(args, g, budgets)
+    exact = exact_log_z(g, args.q, args.beta, budget=budgets.states)
     difference = abs(result.log_z - exact)
     ok = difference <= result.eps_bound
     payload = {

@@ -189,17 +189,7 @@ def total_volume(g: Graph) -> int:
 
 def cross_edges(g: Graph, s: VertexSet, t: VertexSet) -> int:
     """Number of edges with one endpoint in s and the other in t \\ s."""
-    s_mask = mask_of(g, s)
-    t_mask = mask_of(g, t)
-    target = t_mask & ~s_mask
-    count = 0
-    mk = s_mask
-    while mk:
-        low = mk & -mk
-        v = low.bit_length() - 1
-        mk ^= low
-        count += (g.adj_masks[v] & target).bit_count()
-    return count
+    return cross_edges_mask(g, mask_of(g, s), mask_of(g, t))
 
 
 def cross_edges_mask(g: Graph, s_mask: int, t_mask: int) -> int:

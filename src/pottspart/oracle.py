@@ -13,11 +13,13 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
+from .budgets import STATE_BUDGET
 from .errors import BudgetError, PreconditionError, VerificationError
 from .graphs import Graph, components, induced_subgraph, vertices_of_mask
 from .polymers import (
     POLYMER_SIZE_CAP,
     boundary_edge_set,
+    check_q_beta,
     compatible,
     enumerate_polymers,
     is_sparse,
@@ -40,7 +42,6 @@ __all__ = [
     "k_way_expansion",
 ]
 
-STATE_BUDGET = 10**8
 GROUND_STATE_BUDGET = 10**6
 XI_POLYMER_BUDGET = 10**3
 XI_FAMILY_BUDGET = 10**7
@@ -48,13 +49,6 @@ SUBSET_ENUM_MAX_N = 20
 KWAY_MAX_N = 14
 
 _BLOCK = 1 << 15
-
-
-def _check_q_beta(q: int, beta: float) -> None:
-    if not isinstance(q, int) or q < 2:
-        raise PreconditionError(f"q must be an integer >= 2, got {q!r}")
-    if not math.isfinite(beta) or beta < 0:
-        raise PreconditionError(f"beta must be finite and nonnegative, got {beta}")
 
 
 def _colour_blocks(n: int, q: int):
@@ -88,19 +82,19 @@ def _log_z_component(n: int, edges: Sequence[tuple[int, int]], q: int, beta: flo
     )
 
 
-def exact_log_z(g: Graph, q: int, beta: float) -> float:
+def exact_log_z(
+    g: Graph, q: int, beta: float, *, budget: int = STATE_BUDGET
+) -> float:
     """log of the full colouring sum, by exhaustive enumeration.
 
-    Factorizes over connected components, so the budget applies to the
-    total per-component enumeration cost.
+    Factorizes over connected components, so the state budget applies to
+    the total per-component enumeration cost.
     """
-    _check_q_beta(q, beta)
+    check_q_beta(q, beta, zero_beta_ok=True)
     comps = components(g)
     cost = sum(q ** len(c) for c in comps)
-    if cost > STATE_BUDGET:
-        raise BudgetError(
-            f"enumeration needs {cost} states, over budget {STATE_BUDGET}"
-        )
+    if cost > budget:
+        raise BudgetError(f"enumeration needs {cost} states, over budget {budget}")
     total = 0.0
     for comp in comps:
         if len(comp) == 1:
@@ -128,7 +122,7 @@ def exact_log_z_psi(
     Close means: in every part, a strict majority of vertices receives the
     ground state's colour for that part.
     """
-    _check_q_beta(q, beta)
+    check_q_beta(q, beta, zero_beta_ok=True)
     parts = normalize_parts(g, parts)
     psi = _validate_ground_state(parts, psi, q)
     if q**g.n > STATE_BUDGET:
@@ -160,7 +154,7 @@ def exact_log_z_star(
     and the per-ground-state split is re-summed as an internal consistency
     check.
     """
-    _check_q_beta(q, beta)
+    check_q_beta(q, beta, zero_beta_ok=True)
     parts = normalize_parts(g, parts)
     ell = len(parts)
     if q**ell > GROUND_STATE_BUDGET:
@@ -220,7 +214,7 @@ def exact_log_xi(
     decided definitionally from boundary edge sets) and sums the weight
     products.
     """
-    _check_q_beta(q, beta)
+    check_q_beta(q, beta, zero_beta_ok=True)
     parts = normalize_parts(g, parts)
     psi = _validate_ground_state(parts, psi, q)
     if g.n // 2 > POLYMER_SIZE_CAP:
@@ -276,7 +270,7 @@ def sparse_deviation_log_sum(
     each colouring, the set of vertices disagreeing with the ground state is
     checked for sparseness definitionally.
     """
-    _check_q_beta(q, beta)
+    check_q_beta(q, beta, zero_beta_ok=True)
     parts = normalize_parts(g, parts)
     psi = _validate_ground_state(parts, psi, q)
     n = g.n

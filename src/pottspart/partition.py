@@ -25,6 +25,7 @@ from .graphs import (
     volume,
 )
 from .oracle import SUBSET_ENUM_MAX_N, min_conductance
+from .polymers import normalize_parts
 from .spectral import normalized_laplacian_spectrum, sweep_cut
 
 __all__ = [
@@ -632,22 +633,7 @@ def verify_partition(
     vertices and by the sweep bound otherwise; the outer conductance and
     degree-ratio checks are exact.
     """
-    norm: list[tuple[int, ...]] = []
-    seen = 0
-    for idx, part in enumerate(parts):
-        vs = tuple(sorted(part))
-        if not vs:
-            raise PreconditionError(f"part {idx} is empty")
-        pm = mask_of(g, vs)
-        if pm.bit_count() != len(vs):
-            raise PreconditionError(f"part {idx} repeats a vertex")
-        if pm & seen:
-            raise PreconditionError(f"part {idx} overlaps an earlier part")
-        seen |= pm
-        norm.append(vs)
-    if seen != (1 << g.n) - 1:
-        raise PreconditionError("parts do not cover every vertex")
-
+    norm = normalize_parts(g, parts)
     inner_threshold = params.phi_in * params.phi_in / 4.0
     reports = []
     for vs in norm:

@@ -18,6 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
+from .budgets import CLUSTER_BUDGET, POLYMER_COUNT_BUDGET
 from .errors import BudgetError, PreconditionError
 from .graphs import Graph, closure_size
 from .util import log_sum_exp
@@ -27,6 +28,7 @@ __all__ = [
     "Cluster",
     "ClusterExpansion",
     "TruncatedXi",
+    "check_q_beta",
     "normalize_parts",
     "part_index_of",
     "is_small",
@@ -47,9 +49,7 @@ __all__ = [
 ]
 
 POLYMER_SIZE_CAP = 20
-POLYMER_COUNT_BUDGET = 200_000
 RESTRICTED_TERM_BUDGET = 50_000_000
-CLUSTER_BUDGET = 5_000_000
 
 # exp(x) is exactly 0.0 below this, so pruning such cluster terms from an
 # fsum is bit-identical to summing them.
@@ -57,8 +57,21 @@ _EXP_ZERO_LOG = -746.0
 
 
 # ---------------------------------------------------------------------------
-# partitions and ground states
+# model parameters, partitions and ground states
 # ---------------------------------------------------------------------------
+
+
+def check_q_beta(q: int, beta: float, *, zero_beta_ok: bool = False) -> None:
+    """Refuse q below 2 and beta that is infinite, NaN or negative.
+
+    beta = 0 is refused too unless ``zero_beta_ok``: the exact oracle sums
+    it like any other beta, but the pipelines' thresholds need beta > 0.
+    """
+    if not isinstance(q, int) or q < 2:
+        raise PreconditionError(f"q must be an integer >= 2, got {q!r}")
+    if not (math.isfinite(beta) and (beta >= 0 if zero_beta_ok else beta > 0)):
+        sign = "nonnegative" if zero_beta_ok else "positive"
+        raise PreconditionError(f"beta must be finite and {sign}, got {beta}")
 
 
 def normalize_parts(
@@ -750,7 +763,7 @@ def truncated_log_xi(
         )
     depth = truncation_depth(g.n, xi)
     if model is None:
-        model = enumerate_polymers(g, parts, min(depth, POLYMER_SIZE_CAP))
+        model = enumerate_polymers(g, parts, depth)
     if expansion is None:
         expansion = ClusterExpansion(g, model, depth)
     lws = polymer_log_weights(g, parts, psi, model, q, beta)

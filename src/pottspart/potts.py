@@ -9,17 +9,18 @@ polymer-model partition function evaluated by a truncated cluster expansion.
 Every pipeline returns a :class:`PottsResult` whose ``eps_bound`` is a
 guaranteed relative error: e^(-eps) <= Z / exp(log_z) <= e^(eps).  The
 pipelines refuse (with structured errors) whenever a hypothesis they rely on
-cannot be verified, rather than returning an unguaranteed number.
+cannot be verified, rather than returning an unguaranteed number.  The
+keyword ``budgets`` caps the enumerations of one call (:class:`Budgets`).
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
+from .budgets import GROUND_STATE_CAP, Budgets
 from .errors import BudgetError, PreconditionError
 from .graphs import Graph, induced_subgraph, is_alpha_expander, mask_of
 from .oracle import exact_log_z
@@ -30,9 +31,9 @@ from .partition import (
     partition_into_expanders,
 )
 from .polymers import (
-    POLYMER_SIZE_CAP,
     ClusterExpansion,
     boundary_edge_set,
+    check_q_beta,
     enumerate_polymers,
     kp_sufficient_beta,
     normalize_parts,
@@ -43,7 +44,6 @@ from .polymers import (
 from .util import log_sum_exp
 
 __all__ = [
-    "PottsInstance",
     "PottsResult",
     "GROUND_STATE_CAP",
     "XI_CAP",
@@ -59,31 +59,7 @@ __all__ = [
     "approx_log_z_sse",
 ]
 
-GROUND_STATE_CAP = 10**6  # refuse pipelines that would sum more ground states
 XI_CAP = 0.25  # accuracy requests are clamped to this (a stronger promise)
-
-
-@dataclass(frozen=True)
-class PottsInstance:
-    """A Potts model: graph, colour count, inverse temperature."""
-
-    g: Graph
-    q: int
-    beta: float
-
-    def __post_init__(self):
-        if not isinstance(self.q, int) or self.q < 2:
-            raise PreconditionError(f"q must be an integer >= 2, got {self.q!r}")
-        if not (math.isfinite(self.beta) and self.beta > 0):
-            raise PreconditionError(f"beta must be positive, got {self.beta}")
-
-    @property
-    def max_degree(self) -> int:
-        return self.g.max_degree
-
-    @property
-    def min_degree(self) -> int:
-        return min(self.g.degrees)
 
 
 def monochromatic_edges(g: Graph, colours: Sequence[int]) -> int:
@@ -248,13 +224,29 @@ class PottsResult:
 
 
 def _check_q_beta_xi(q: int, beta: float, xi: float) -> float:
-    if not isinstance(q, int) or q < 2:
-        raise PreconditionError(f"q must be an integer >= 2, got {q!r}")
-    if not (math.isfinite(beta) and beta > 0):
-        raise PreconditionError(f"beta must be positive, got {beta}")
+    check_q_beta(q, beta)
     if not (math.isfinite(xi) and xi > 0):
         raise PreconditionError(f"accuracy must be positive, got {xi}")
     return min(xi, XI_CAP)
+
+
+def _check_good_parts_beta(
+    g: Graph, q: int, beta: float, alpha: float, eta: float
+) -> None:
+    """Refuse unless the certified alpha and eta put beta above threshold."""
+    if alpha <= 0:
+        raise PreconditionError(
+            "the partition certifies no expansion (a multi-vertex part has "
+            "sweep conductance 0); the polymer weights are unbounded"
+        )
+    if math.isfinite(alpha):
+        need = required_beta_good_parts(q, g.max_degree, alpha, eta)
+        if beta < need:
+            raise PreconditionError(
+                f"beta={beta:.6g} is below the required threshold {need:.6g} "
+                f"for q={q}, max degree {g.max_degree}, alpha={alpha:.6g}, "
+                f"eta={eta:.6g}"
+            )
 
 
 # ---------------------------------------------------------------------------
@@ -270,7 +262,7 @@ def _approx_core(
     xi: float,
     alpha: float,
     mode: str,
-    threads: int,
+    budgets: Budgets,
 ) -> PottsResult:
     """Sum exp(beta*m_G(psi) + log Xi^psi) over all ground states psi.
 
@@ -278,18 +270,16 @@ def _approx_core(
     caller.  When xi <= e^(-n/2) the exact oracle is cheaper than the
     expansion and is used instead (the result is then exact).
     """
-    if not isinstance(threads, int) or threads < 1:
-        raise PreconditionError(f"threads must be a positive integer, got {threads!r}")
     n = g.n
     ell = len(parts)
     states = q**ell
-    if states > GROUND_STATE_CAP:
+    if states > budgets.ground_states:
         raise BudgetError(
-            f"{states} ground states exceed the cap {GROUND_STATE_CAP}"
+            f"{states} ground states exceed the cap {budgets.ground_states}"
         )
     if xi <= math.exp(-n / 2.0):
         return PottsResult(
-            log_z=exact_log_z(g, q, beta),
+            log_z=exact_log_z(g, q, beta, budget=budgets.states),
             eps_bound=0.0,
             mode="bruteforce",
             ground_states=states,
@@ -301,22 +291,16 @@ def _approx_core(
     # states the ground-state decomposition misses or double-counts
     zeta = xi / 2.0
     depth = truncation_depth(n, zeta)
-    model = enumerate_polymers(g, parts, min(depth, POLYMER_SIZE_CAP))
-    expansion = ClusterExpansion(g, model, depth)
-
-    def one(index: int) -> tuple[tuple[int, ...], int, float]:
+    model = enumerate_polymers(g, parts, depth, budget=budgets.polymers)
+    expansion = ClusterExpansion(g, model, depth, budget=budgets.clusters)
+    evaluated = []
+    for index in range(states):
         psi = _psi_of_index(index, q, ell)
         m_psi = ground_state_edges(g, parts, psi)
         tx = truncated_log_xi(
             g, parts, psi, q, beta, zeta, alpha, model=model, expansion=expansion
         )
-        return psi, m_psi, tx.log_xi
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            evaluated = list(pool.map(one, range(states)))
-    else:
-        evaluated = [one(w) for w in range(states)]
+        evaluated.append((psi, m_psi, tx.log_xi))
 
     log_z = log_sum_exp(beta * m + lx for _, m, lx in evaluated)
     per_psi = tuple(
@@ -346,7 +330,7 @@ def approx_log_z_expander(
     xi: float,
     alpha: float,
     *,
-    threads: int = 1,
+    budgets: Budgets = Budgets(),
 ) -> PottsResult:
     """Relative xi-approximation of log Z for an alpha-expander graph.
 
@@ -378,7 +362,7 @@ def approx_log_z_expander(
                 "has too small a boundary"
             )
     return _approx_core(
-        g, (tuple(range(g.n)),), q, beta, xi, alpha, "expander", threads
+        g, (tuple(range(g.n)),), q, beta, xi, alpha, "expander", budgets
     )
 
 
@@ -389,7 +373,7 @@ def approx_log_z_good_parts(
     beta: float,
     xi: float,
     *,
-    threads: int = 1,
+    budgets: Budgets = Budgets(),
 ) -> PottsResult:
     """Relative xi-approximation of log Z given an all-good expander partition.
 
@@ -399,21 +383,8 @@ def approx_log_z_good_parts(
     """
     xi = _check_q_beta_xi(q, beta, xi)
     parts, alpha = _coerce_partition(g, partition)
-    eta = min(len(p) for p in parts) / g.n
-    if alpha <= 0:
-        raise PreconditionError(
-            "the partition certifies no expansion (a multi-vertex part has "
-            "sweep conductance 0); the polymer weights are unbounded"
-        )
-    if math.isfinite(alpha):
-        need = required_beta_good_parts(q, g.max_degree, alpha, eta)
-        if beta < need:
-            raise PreconditionError(
-                f"beta={beta:.6g} is below the required threshold {need:.6g} "
-                f"for q={q}, max degree {g.max_degree}, alpha={alpha:.6g}, "
-                f"eta={eta:.6g}"
-            )
-    return _approx_core(g, parts, q, beta, xi, alpha, "partition", threads)
+    _check_good_parts_beta(g, q, beta, alpha, min(len(p) for p in parts) / g.n)
+    return _approx_core(g, parts, q, beta, xi, alpha, "partition", budgets)
 
 
 def approx_log_z_with_partition(
@@ -424,7 +395,7 @@ def approx_log_z_with_partition(
     xi: float,
     eta: float,
     *,
-    threads: int = 1,
+    budgets: Budgets = Budgets(),
 ) -> PottsResult:
     """Approximate log Z for a partition that may contain small (bad) parts.
 
@@ -439,24 +410,12 @@ def approx_log_z_with_partition(
     if not (0 < eta <= 1):
         raise PreconditionError(f"eta must be in (0, 1], got {eta}")
     parts, alpha = _coerce_partition(g, partition)
-    if alpha <= 0:
-        raise PreconditionError(
-            "the partition certifies no expansion (a multi-vertex part has "
-            "sweep conductance 0); the polymer weights are unbounded"
-        )
-    if math.isfinite(alpha):
-        need = required_beta_good_parts(q, g.max_degree, alpha, eta)
-        if beta < need:
-            raise PreconditionError(
-                f"beta={beta:.6g} is below the required threshold {need:.6g} "
-                f"for q={q}, max degree {g.max_degree}, alpha={alpha:.6g}, "
-                f"eta={eta:.6g}"
-            )
+    _check_good_parts_beta(g, q, beta, alpha, eta)
     # exact comparison: lift the float eta so classification is reproducible
     eta_exact = Fraction(eta)
     bad = [i for i, p in enumerate(parts) if len(p) < eta_exact * g.n]
     if not bad:
-        return approx_log_z_good_parts(g, parts, q, beta, xi, threads=threads)
+        return _approx_core(g, parts, q, beta, xi, alpha, "partition", budgets)
 
     s = len(bad)
     removed: set[tuple[int, int]] = set()
@@ -480,7 +439,7 @@ def approx_log_z_with_partition(
                 f"bad part {i} induces a graph with no certified expansion"
             )
         res = approx_log_z_expander(
-            sub, q, beta, xi, min(sub_alpha, alpha), threads=threads
+            sub, q, beta, xi, min(sub_alpha, alpha), budgets=budgets
         )
         log_z += res.log_z
         ground_states += res.ground_states
@@ -494,7 +453,7 @@ def approx_log_z_with_partition(
         sub, vs = induced_subgraph(g, keep, allow_isolated=True)
         relabel = {v: j for j, v in enumerate(vs)}
         sub_parts = [tuple(relabel[v] for v in p) for p in good]
-        res = approx_log_z_good_parts(sub, sub_parts, q, beta, xi, threads=threads)
+        res = approx_log_z_good_parts(sub, sub_parts, q, beta, xi, budgets=budgets)
         log_z += res.log_z
         ground_states += res.ground_states
         depth = max(depth, res.truncation_depth)
@@ -519,7 +478,7 @@ def approx_log_z_sse(
     eps: float,
     C: float = 1.0,
     *,
-    threads: int = 1,
+    budgets: Budgets = Budgets(),
 ) -> PottsResult:
     """End-to-end approximation driven by the spectral partitioner.
 
@@ -529,13 +488,13 @@ def approx_log_z_sse(
     eps-approximation, otherwise the with-partition composition runs and
     the (weaker) bound it reports is returned.
     """
+    eps = _check_q_beta_xi(q, beta, eps)
     params = PartitionParams.from_graph(g, k, C)
     if params.lambda_k <= 0:
         raise PreconditionError(
             f"the {k}-th eigenvalue must be positive, got {params.lambda_k}; "
             "the graph has too many near-components"
         )
-    eps = _check_q_beta_xi(q, beta, eps)
     delta = min(g.degrees)
     need = required_beta_sse(params, q, g.max_degree, delta)
     if beta < need:
@@ -548,9 +507,9 @@ def approx_log_z_sse(
     bad = [i for i, p in enumerate(part.parts) if len(p) * k < g.n]
     if bad:
         return approx_log_z_with_partition(
-            g, part, q, beta, eps, 1.0 / k, threads=threads
+            g, part, q, beta, eps, 1.0 / k, budgets=budgets
         )
-    res = approx_log_z_good_parts(g, part, q, beta, eps, threads=threads)
+    res = approx_log_z_good_parts(g, part, q, beta, eps, budgets=budgets)
     if res.mode == "partition":
         res = replace(res, mode="sse")
     return res

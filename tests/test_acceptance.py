@@ -11,7 +11,7 @@ Eight criteria gate a release; each test prints one
 5. spectral sanity (eigenvalue range, Cheeger sandwich, k-way lower bound),
 6. ground-state decomposition identities (exhaustive on small graphs),
 7. ground-state dominance at large beta,
-8. bit-level determinism across thread counts and repeated runs.
+8. bit-level determinism across repeated runs.
 """
 
 from __future__ import annotations
@@ -491,10 +491,10 @@ def test_criterion_8_determinism(capsys):
     with _verdict(capsys, 8):
         c10_alpha = brute_expansion(cycle(10))
 
-        def run_expander(threads):
+        def run_expander():
             return approx_log_z_expander(
                 cycle(10), 2, 1.1 * required_beta_expander(2, 2, c10_alpha),
-                0.05, c10_alpha, threads=threads,
+                0.05, c10_alpha,
             )
 
         g5 = bridged(5)
@@ -503,10 +503,8 @@ def test_criterion_8_determinism(capsys):
             2, 5, certified_alpha(g5, parts5), 0.5
         )
 
-        def run_good_parts(threads):
-            return approx_log_z_good_parts(
-                g5, parts5, 2, beta5, 0.1, threads=threads
-            )
+        def run_good_parts():
+            return approx_log_z_good_parts(g5, parts5, 2, beta5, 0.1)
 
         mixed = triangle_plus_k8()
         parts_mixed = [[0, 1, 2], list(range(3, 11))]
@@ -514,9 +512,9 @@ def test_criterion_8_determinism(capsys):
             2, 7, certified_alpha(mixed, parts_mixed), 0.5
         )
 
-        def run_with_partition(threads):
+        def run_with_partition():
             return approx_log_z_with_partition(
-                mixed, parts_mixed, 2, beta_mixed, 0.1, 0.5, threads=threads
+                mixed, parts_mixed, 2, beta_mixed, 0.1, 0.5
             )
 
         c6 = cycle(6)
@@ -524,14 +522,13 @@ def test_criterion_8_determinism(capsys):
             PartitionParams.from_graph(c6, 2), 2, 2, 2
         )
 
-        def run_sse(threads):
-            return approx_log_z_sse(c6, 2, 2, beta_sse, 0.1, threads=threads)
+        def run_sse():
+            return approx_log_z_sse(c6, 2, 2, beta_sse, 0.1)
 
         for runner in (run_expander, run_good_parts, run_with_partition,
                        run_sse):
-            serial = runner(1)
-            repeat = runner(1)
-            parallel = runner(8)
-            assert serial.to_dict() == repeat.to_dict() == parallel.to_dict()
-            assert serial.log_z == repeat.log_z == parallel.log_z
-            assert serial.per_psi == repeat.per_psi == parallel.per_psi
+            first = runner()
+            repeat = runner()
+            assert first.to_dict() == repeat.to_dict()
+            assert first.log_z == repeat.log_z
+            assert first.per_psi == repeat.per_psi

@@ -12,24 +12,10 @@ import sys
 import pytest
 
 import pottspart.cli as cli_mod
-import pottspart.oracle as oracle_mod
-import pottspart.polymers as polymers_mod
-import pottspart.potts as potts_mod
 from pottspart.cli import main
 from pottspart.generate import generate_graph
 from pottspart.graphs import parse_graph, serialize_graph
 from pottspart.oracle import exact_log_z
-
-
-@pytest.fixture(autouse=True)
-def _budgets_restored(monkeypatch):
-    # budget flags mutate module constants; pin the defaults around each test
-    monkeypatch.setattr(oracle_mod, "STATE_BUDGET", oracle_mod.STATE_BUDGET)
-    monkeypatch.setattr(potts_mod, "GROUND_STATE_CAP", potts_mod.GROUND_STATE_CAP)
-    monkeypatch.setattr(
-        polymers_mod, "POLYMER_COUNT_BUDGET", polymers_mod.POLYMER_COUNT_BUDGET
-    )
-    monkeypatch.setattr(polymers_mod, "CLUSTER_BUDGET", polymers_mod.CLUSTER_BUDGET)
 
 
 @pytest.fixture
@@ -193,6 +179,41 @@ class TestOracleCommand:
         assert "over budget 10" in err
 
 
+# eps = 0.01 <= e^(-6/2) sends the 6-vertex instance to the exact oracle
+_BUDGET_FLAG_ARGS = {
+    "--budget-states": [*GOOD_PARTS_ARGS[:4], "--eps", "0.01", *GOOD_PARTS_ARGS[6:]],
+    "--budget-ground-states": GOOD_PARTS_ARGS,
+    "--budget-polymers": GOOD_PARTS_ARGS,
+    "--budget-clusters": GOOD_PARTS_ARGS,
+}
+
+
+class TestBudgetFlags:
+    @pytest.mark.parametrize("flag", sorted(_BUDGET_FLAG_ARGS))
+    def test_budget_of_one_exits_3_for_that_call_only(
+        self, flag, bridged_triangles_file, capsys
+    ):
+        argv = ["potts", *_BUDGET_FLAG_ARGS[flag], bridged_triangles_file]
+        assert main(argv) == 0
+        unbudgeted = capsys.readouterr().out
+        assert main([*argv, flag, "1"]) == 3
+        assert "overridden to 1" in capsys.readouterr().err
+        assert main(argv) == 0
+        assert capsys.readouterr().out == unbudgeted
+
+    def test_budget_below_one_exits_1(self, bridged_triangles_file, capsys):
+        argv = ["potts", *GOOD_PARTS_ARGS, bridged_triangles_file]
+        assert main([*argv, "--budget-clusters", "0"]) == 1
+        assert "budget must be an integer >= 1" in capsys.readouterr().err
+
+    def test_oracle_takes_only_the_state_budget(self, bridged_triangles_file):
+        for flag in ("--budget-ground-states", "--budget-polymers", "--budget-clusters"):
+            with pytest.raises(SystemExit) as exc:
+                main(["oracle", "--q", "2", "--beta", "1", flag, "5",
+                      bridged_triangles_file])
+            assert exc.value.code == 1
+
+
 class TestVerifyCommand:
     def test_pass_exits_0(self, bridged_triangles_file, capsys):
         assert main(["verify", *GOOD_PARTS_ARGS, bridged_triangles_file]) == 0
@@ -211,7 +232,7 @@ class TestVerifyCommand:
     ):
         real = cli_mod.exact_log_z
         monkeypatch.setattr(
-            cli_mod, "exact_log_z", lambda g, q, b: real(g, q, b) + 1.0
+            cli_mod, "exact_log_z", lambda g, q, b, **kw: real(g, q, b, **kw) + 1.0
         )
         assert main(["verify", *GOOD_PARTS_ARGS, bridged_triangles_file]) == 2
         payload = json.loads(capsys.readouterr().out)
@@ -220,7 +241,7 @@ class TestVerifyCommand:
     def test_fail_text_verdict(self, bridged_triangles_file, capsys, monkeypatch):
         real = cli_mod.exact_log_z
         monkeypatch.setattr(
-            cli_mod, "exact_log_z", lambda g, q, b: real(g, q, b) + 1.0
+            cli_mod, "exact_log_z", lambda g, q, b, **kw: real(g, q, b, **kw) + 1.0
         )
         assert main(["verify", *GOOD_PARTS_ARGS, "--format", "text",
                      bridged_triangles_file]) == 2
@@ -241,6 +262,11 @@ class TestUsageErrors:
     def test_missing_required_flag_exits_1(self, bridged_triangles_file):
         with pytest.raises(SystemExit) as exc:
             main(["oracle", bridged_triangles_file])
+        assert exc.value.code == 1
+
+    def test_threads_flag_exits_1(self, bridged_triangles_file):
+        with pytest.raises(SystemExit) as exc:
+            main(["potts", *GOOD_PARTS_ARGS, "--threads", "2", bridged_triangles_file])
         assert exc.value.code == 1
 
 
@@ -268,10 +294,3 @@ class TestEndToEnd:
         second = self._run(argv)
         assert first.returncode == second.returncode == 0
         assert first.stdout == second.stdout
-
-    def test_threads_do_not_change_output(self, bridged_triangles_file):
-        argv = ["potts", *GOOD_PARTS_ARGS, bridged_triangles_file]
-        serial = self._run([*argv, "--threads", "1"])
-        parallel = self._run([*argv, "--threads", "4"])
-        assert serial.returncode == parallel.returncode == 0
-        assert serial.stdout == parallel.stdout

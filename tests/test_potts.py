@@ -6,6 +6,7 @@ import itertools
 import json
 import math
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -39,6 +40,7 @@ from pottspart.partition import (
     partition_into_expanders,
 )
 from pottspart.polymers import (
+    POLYMER_SIZE_CAP,
     boundary_edge_set,
     compatible,
     enumerate_polymers,
@@ -50,7 +52,6 @@ from pottspart.polymers import (
 from pottspart.potts import (
     GROUND_STATE_CAP,
     XI_CAP,
-    PottsInstance,
     PottsResult,
     approx_log_z_expander,
     approx_log_z_good_parts,
@@ -106,22 +107,34 @@ def _brute_part_expansion(g: Graph, part) -> Fraction:
     return best
 
 
-class TestPottsInstance:
-    def test_degrees(self):
-        inst = PottsInstance(triangles_with_bridge(), 2, 1.0)
-        assert inst.max_degree == 3
-        assert inst.min_degree == 2
+class TestQBetaCheck:
+    """Every pipeline refuses q < 2 and beta <= 0 through the shared check."""
+
+    @staticmethod
+    def _pipelines(q, beta):
+        g = triangles_with_bridge()
+        parts = [[0, 1, 2], [3, 4, 5]]
+        return (
+            lambda: approx_log_z_expander(g, q, beta, 0.01, 1.0),
+            lambda: approx_log_z_good_parts(g, parts, q, beta, 0.01),
+            lambda: approx_log_z_with_partition(g, parts, q, beta, 0.01, 0.5),
+            lambda: approx_log_z_sse(g, 2, q, beta, 0.01),
+        )
 
     def test_rejects_bad_q(self):
-        with pytest.raises(PreconditionError):
-            PottsInstance(cycle(4), 1, 1.0)
-        with pytest.raises(PreconditionError):
-            PottsInstance(cycle(4), 2.0, 1.0)
+        for q in (1, 2.0):
+            for run in self._pipelines(q, 40.0):
+                with pytest.raises(PreconditionError, match="q must be"):
+                    run()
 
     def test_rejects_bad_beta(self):
         for beta in (0.0, -1.0, math.inf, math.nan):
-            with pytest.raises(PreconditionError):
-                PottsInstance(cycle(4), 2, beta)
+            for run in self._pipelines(2, beta):
+                with pytest.raises(PreconditionError, match="beta must be"):
+                    run()
+        # the oracle shares the check but sums beta = 0 like any other beta
+        g = triangles_with_bridge()
+        assert exact_log_z(g, 2, 0.0) == pytest.approx(g.n * math.log(2))
 
 
 class TestMonochromaticEdges:
@@ -293,9 +306,16 @@ class TestExpanderPipeline:
             with pytest.raises(PreconditionError):
                 approx_log_z_expander(cycle(12), 2, 21.0, xi, 1.0 / 3.0)
 
-    def test_thread_count_is_validated(self):
-        with pytest.raises(PreconditionError):
-            approx_log_z_expander(cycle(12), 2, 21.0, 0.01, 1.0 / 3.0, threads=0)
+    def test_depth_beyond_polymer_size_cap_is_refused_at_once(self):
+        # xi = 1e-7 on 60 vertices needs clusters of 22 vertices; clamping
+        # the polymer size to the cap would drop the larger polymers
+        alpha = 1.0 / 15.0
+        beta = 1.1 * required_beta_expander(2, 2, alpha)
+        assert truncation_depth(60, 0.5e-7) == 22 > POLYMER_SIZE_CAP
+        start = time.perf_counter()
+        with pytest.raises(BudgetError, match="exceeds enumeration cap"):
+            approx_log_z_expander(cycle(60), 2, beta, 1e-7, alpha)
+        assert time.perf_counter() - start < 1.0
 
 
 class TestGoodPartsPipeline:
@@ -505,6 +525,19 @@ class TestSsePipeline:
         with pytest.raises(PreconditionError, match="eigenvalue"):
             approx_log_z_sse(two_triangles(), 2, 2, 1e9, 0.1)
 
+    def test_bad_model_is_refused_before_the_spectrum(self, monkeypatch):
+        import pottspart.partition as partition_module
+
+        def no_spectrum(g):
+            raise AssertionError("the spectrum was computed")
+
+        monkeypatch.setattr(
+            partition_module, "normalized_laplacian_spectrum", no_spectrum
+        )
+        for q, beta, eps in ((1, 1e9, 0.1), (2, 0.0, 0.1), (2, 1e9, 0.0)):
+            with pytest.raises(PreconditionError):
+                approx_log_z_sse(complete(8), 2, q, beta, eps)
+
     def test_accuracy_is_clamped(self):
         g = complete(8)
         need = required_beta_sse(PartitionParams.from_graph(g, 2), 2, 7, 7)
@@ -558,21 +591,6 @@ class TestSsePipeline:
 
 
 class TestDeterminism:
-    def test_expander_thread_count_does_not_change_bits(self):
-        g = cycle(12)
-        one = approx_log_z_expander(g, 2, 21.0, 0.01, 1.0 / 3.0, threads=1)
-        four = approx_log_z_expander(g, 2, 21.0, 0.01, 1.0 / 3.0, threads=4)
-        assert one.log_z == four.log_z
-        assert one.per_psi == four.per_psi
-
-    def test_good_parts_thread_count_does_not_change_bits(self):
-        g = triangles_with_bridge()
-        parts = [[0, 1, 2], [3, 4, 5]]
-        one = approx_log_z_good_parts(g, parts, 2, 40.0, 0.05, threads=1)
-        three = approx_log_z_good_parts(g, parts, 2, 40.0, 0.05, threads=3)
-        assert one.log_z == three.log_z
-        assert one.per_psi == three.per_psi
-
     def test_repeated_runs_identical(self):
         g = petersen()
         a = approx_log_z_expander(g, 2, 8.0, 0.01, 1.0)
