@@ -10,14 +10,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from .errors import ParseError, PreconditionError
 from .util import as_fraction
 
 VertexSet = Iterable[int]
 
-_ALPHA_EXPANDER_MAX_N = 20
+# Largest n for which a scan over all 2^n vertex subsets is attempted.
+SUBSET_ENUM_MAX_N = 20
 
 
 @dataclass(frozen=True)
@@ -94,10 +95,13 @@ class Graph:
 
 
 def _vertex_tuple(g: Graph, s: VertexSet) -> tuple[int, ...]:
-    vs = sorted(set(s))
+    """The vertices of s, sorted; refuses a repeated or out-of-range vertex."""
+    vs = tuple(sorted(s))
+    if len(set(vs)) != len(vs):
+        raise PreconditionError(f"vertex set {list(vs)} repeats a vertex")
     if vs and (vs[0] < 0 or vs[-1] >= g.n):
-        raise PreconditionError(f"vertex set {vs} out of range for n={g.n}")
-    return tuple(vs)
+        raise PreconditionError(f"vertex set {list(vs)} out of range for n={g.n}")
+    return vs
 
 
 def mask_of(g: Graph, s: VertexSet) -> int:
@@ -301,30 +305,102 @@ def is_connected(g: Graph) -> bool:
     return len(components(g)) == 1
 
 
+def subset_scan(g: Graph):
+    """Yield (mask, boundary, volume) over all nonempty vertex subsets.
+
+    The subsets come in Gray-code order: each step adds or removes one
+    vertex, so boundary and volume are updated in O(1) per subset.
+    """
+    n = g.n
+    adj = g.adj_masks
+    deg = g.degrees
+    mask = 0
+    bnd = 0
+    vol = 0
+    for i in range(1, 1 << n):
+        v = (i & -i).bit_length() - 1
+        bit = 1 << v
+        if mask & bit:
+            mask ^= bit
+            vol -= deg[v]
+            bnd -= deg[v] - 2 * (adj[v] & mask).bit_count()
+        else:
+            bnd += deg[v] - 2 * (adj[v] & mask).bit_count()
+            mask ^= bit
+            vol += deg[v]
+        yield mask, bnd, vol
+
+
+def connected_sets(
+    adj: Sequence[int],
+    weights: Sequence[int],
+    cap: int,
+    admit: Callable[[int], bool] | None = None,
+):
+    """Yield every connected vertex set of total weight at most ``cap``, once.
+
+    ``adj[v]`` is the neighbour bitmask of vertex v and weights are
+    positive.  ``admit``, when given, is a test on a set's bitmask that
+    every subset of an admitted set also passes; sets it refuses are not
+    grown further.  Each set is a tuple of its members in the order they
+    were added, its smallest vertex first.  The sets come in depth-first
+    pre-order: a set, then everything grown from it.
+    """
+    full = (1 << len(adj)) - 1
+    for root, root_weight in enumerate(weights):
+        rbit = 1 << root
+        if root_weight > cap or (admit is not None and not admit(rbit)):
+            continue
+        above = full ^ ((rbit << 1) - 1)  # only vertices after the root join
+        # a frame is (members, their mask, the vertices it may still add,
+        # members and their neighbours, weight); the top frame is next
+        stack = [((root,), rbit, adj[root] & above, adj[root] | rbit, root_weight)]
+        while stack:
+            members, mask, ext, nbhd, weight = stack.pop()
+            yield members
+            # push the children highest vertex first, so the lowest is
+            # yielded next; a child may add what its later siblings may
+            # add, plus the new neighbours of its last vertex
+            later = 0
+            while ext:
+                w = ext.bit_length() - 1
+                wbit = 1 << w
+                ext ^= wbit
+                grown = weight + weights[w]
+                if grown <= cap and (admit is None or admit(mask | wbit)):
+                    fresh = adj[w] & ~nbhd & above
+                    child = members + (w,)
+                    stack.append(
+                        (child, mask | wbit, later | fresh, nbhd | adj[w], grown)
+                    )
+                later |= wbit
+
+
 def is_alpha_expander(
     g: Graph, alpha: int | float | Fraction
 ) -> tuple[bool, tuple[int, ...] | None]:
     """Exhaustively check |boundary(S)| >= alpha*|S| for all |S| <= n/2.
 
-    Exact rational comparison.  Only for n <= 20.  On failure returns the
-    violating set that comes first in ascending-bitmask order.
+    Exact rational comparison.  Only for n <= SUBSET_ENUM_MAX_N.  On failure
+    returns the violating set with the smallest bitmask; the scan meets
+    other violations first, so it always runs to the end.
     """
-    if g.n > _ALPHA_EXPANDER_MAX_N:
+    if g.n > SUBSET_ENUM_MAX_N:
         raise PreconditionError(
             f"is_alpha_expander is exhaustive and capped at n <= "
-            f"{_ALPHA_EXPANDER_MAX_N} (got n={g.n})"
+            f"{SUBSET_ENUM_MAX_N} (got n={g.n})"
         )
     a = as_fraction(alpha)
     if a < 0:
         raise PreconditionError("alpha must be nonnegative")
     num, den = a.numerator, a.denominator
-    half = g.n  # condition 2|S| <= n
-    for mask in range(1, 1 << g.n):
+    n = g.n
+    witness = 1 << n  # above every subset's mask until a violation is met
+    for mask, bnd, _ in subset_scan(g):
         size = mask.bit_count()
-        if 2 * size > half:
-            continue
-        bnd = boundary_size_mask(g, mask)
         # bnd >= (num/den) * size  <=>  bnd*den >= num*size
-        if bnd * den < num * size:
-            return False, vertices_of_mask(mask)
-    return True, None
+        if mask < witness and 2 * size <= n and bnd * den < num * size:
+            witness = mask
+    if witness >> n:
+        return True, None
+    return False, vertices_of_mask(witness)

@@ -15,7 +15,14 @@ import numpy as np
 
 from .budgets import STATE_BUDGET
 from .errors import BudgetError, PreconditionError, VerificationError
-from .graphs import Graph, components, induced_subgraph, vertices_of_mask
+from .graphs import (
+    SUBSET_ENUM_MAX_N,
+    Graph,
+    components,
+    induced_subgraph,
+    subset_scan,
+    vertices_of_mask,
+)
 from .polymers import (
     POLYMER_SIZE_CAP,
     boundary_edge_set,
@@ -45,7 +52,6 @@ __all__ = [
 GROUND_STATE_BUDGET = 10**6
 XI_POLYMER_BUDGET = 10**3
 XI_FAMILY_BUDGET = 10**7
-SUBSET_ENUM_MAX_N = 20
 KWAY_MAX_N = 14
 
 _BLOCK = 1 << 15
@@ -122,9 +128,8 @@ def exact_log_z_psi(
     Close means: in every part, a strict majority of vertices receives the
     ground state's colour for that part.
     """
-    check_q_beta(q, beta, zero_beta_ok=True)
     parts = normalize_parts(g, parts)
-    psi = _validate_ground_state(parts, psi, q)
+    psi = _validate_ground_state(parts, psi, q, beta)
     if q**g.n > STATE_BUDGET:
         raise BudgetError(
             f"enumeration needs {q**g.n} states, over budget {STATE_BUDGET}"
@@ -214,9 +219,8 @@ def exact_log_xi(
     decided definitionally from boundary edge sets) and sums the weight
     products.
     """
-    check_q_beta(q, beta, zero_beta_ok=True)
     parts = normalize_parts(g, parts)
-    psi = _validate_ground_state(parts, psi, q)
+    psi = _validate_ground_state(parts, psi, q, beta)
     if g.n // 2 > POLYMER_SIZE_CAP:
         raise BudgetError(
             f"polymers may have up to {g.n // 2} vertices, over cap {POLYMER_SIZE_CAP}"
@@ -270,9 +274,8 @@ def sparse_deviation_log_sum(
     each colouring, the set of vertices disagreeing with the ground state is
     checked for sparseness definitionally.
     """
-    check_q_beta(q, beta, zero_beta_ok=True)
     parts = normalize_parts(g, parts)
-    psi = _validate_ground_state(parts, psi, q)
+    psi = _validate_ground_state(parts, psi, q, beta)
     n = g.n
     if q**n > budget:
         raise BudgetError(f"enumeration needs {q**n} states, over budget {budget}")
@@ -297,28 +300,6 @@ def sparse_deviation_log_sum(
 # ---------------------------------------------------------------------------
 
 
-def _gray_scan(g: Graph):
-    """Yield (mask, boundary, volume) over all nonempty vertex subsets."""
-    n = g.n
-    adj = g.adj_masks
-    deg = g.degrees
-    mask = 0
-    bnd = 0
-    vol = 0
-    for i in range(1, 1 << n):
-        v = (i & -i).bit_length() - 1
-        bit = 1 << v
-        if mask & bit:
-            mask ^= bit
-            vol -= deg[v]
-            bnd -= deg[v] - 2 * (adj[v] & mask).bit_count()
-        else:
-            bnd += deg[v] - 2 * (adj[v] & mask).bit_count()
-            mask ^= bit
-            vol += deg[v]
-        yield mask, bnd, vol
-
-
 def min_conductance(g: Graph) -> tuple[Fraction, tuple[int, ...]]:
     """Exact conductance of the graph with a minimizing witness.
 
@@ -333,7 +314,7 @@ def min_conductance(g: Graph) -> tuple[Fraction, tuple[int, ...]]:
     best_num = 1
     best_den = 0  # represents +infinity
     best_witness: tuple[int, ...] | None = None
-    for mask, bnd, vol in _gray_scan(g):
+    for mask, bnd, vol in subset_scan(g):
         if vol == 0 or 2 * vol > total:
             continue
         lhs = bnd * best_den
@@ -357,7 +338,7 @@ def expansion_profile(g: Graph, volume_bound) -> Fraction:
         )
     bound = as_fraction(volume_bound)
     best: tuple[int, int] | None = None
-    for mask, bnd, vol in _gray_scan(g):
+    for mask, bnd, vol in subset_scan(g):
         if vol == 0 or vol * bound.denominator > bound.numerator:
             continue
         if best is None or bnd * best[1] < best[0] * vol:
@@ -378,7 +359,7 @@ def k_way_expansion(g: Graph, k: int) -> Fraction:
     size = 1 << g.n
     bnd_arr = [0] * size
     vol_arr = [0] * size
-    for mask, bnd, vol in _gray_scan(g):
+    for mask, bnd, vol in subset_scan(g):
         bnd_arr[mask] = bnd
         vol_arr[mask] = vol
 

@@ -17,6 +17,7 @@ from typing import Iterable, Mapping, Sequence
 
 from .errors import BudgetError, PreconditionError, VerificationError
 from .graphs import (
+    SUBSET_ENUM_MAX_N,
     Graph,
     boundary_size_mask,
     cross_edges_mask,
@@ -24,7 +25,7 @@ from .graphs import (
     mask_of,
     volume,
 )
-from .oracle import SUBSET_ENUM_MAX_N, min_conductance
+from .oracle import min_conductance
 from .polymers import normalize_parts
 from .spectral import normalized_laplacian_spectrum, sweep_cut
 

@@ -20,7 +20,7 @@ from typing import Iterable, Sequence
 
 from .budgets import CLUSTER_BUDGET, POLYMER_COUNT_BUDGET
 from .errors import BudgetError, PreconditionError
-from .graphs import Graph, closure_size
+from .graphs import Graph, _vertex_tuple, closure_size, connected_sets, mask_of
 from .util import log_sum_exp
 
 __all__ = [
@@ -113,9 +113,10 @@ def part_index_of(g: Graph, parts: Sequence[Sequence[int]]) -> list[int]:
     return owner
 
 
-def _validate_ground_state(parts: Sequence[Sequence[int]], psi: Sequence[int], q: int):
-    if q < 2:
-        raise PreconditionError(f"q must be at least 2, got {q}")
+def _validate_ground_state(
+    parts: Sequence[Sequence[int]], psi: Sequence[int], q: int, beta: float
+):
+    check_q_beta(q, beta, zero_beta_ok=True)
     psi = tuple(psi)
     if len(psi) != len(parts):
         raise PreconditionError(
@@ -125,18 +126,6 @@ def _validate_ground_state(parts: Sequence[Sequence[int]], psi: Sequence[int], q
         if not (0 <= c < q):
             raise PreconditionError(f"ground-state colour {c} outside range(0, {q})")
     return psi
-
-
-def _as_vertex_tuple(g: Graph, u: Iterable[int]) -> tuple[int, ...]:
-    vs = tuple(sorted(u))
-    mask = 0
-    for v in vs:
-        if not (0 <= v < g.n):
-            raise PreconditionError(f"invalid vertex {v}")
-        mask |= 1 << v
-    if mask.bit_count() != len(vs):
-        raise PreconditionError("vertex set repeats a vertex")
-    return vs
 
 
 # ---------------------------------------------------------------------------
@@ -156,10 +145,7 @@ def is_small(u: Iterable[int], parts: Sequence[Sequence[int]]) -> bool:
 
 def is_sparse(g: Graph, u: Iterable[int], parts: Sequence[Sequence[int]]) -> bool:
     """True iff every connected component of ``g[u]`` is small."""
-    uset = set(u)
-    for v in uset:
-        if not (0 <= v < g.n):
-            raise PreconditionError(f"invalid vertex {v}")
+    uset = set(_vertex_tuple(g, u))
     remaining = set(uset)
     while remaining:
         start = min(remaining)
@@ -214,17 +200,8 @@ def enumerate_polymers(
     parts = normalize_parts(g, parts)
     if max_size <= 0:
         return []
-    part_masks = []
-    part_sizes = []
-    for part in parts:
-        m = 0
-        for v in part:
-            m |= 1 << v
-        part_masks.append(m)
-        part_sizes.append(len(part))
-
-    adj = g.adj_masks
-    masks: list[int] = []
+    part_masks = [mask_of(g, part) for part in parts]
+    part_sizes = [len(part) for part in parts]
 
     def small_ok(mask: int) -> bool:
         for pm, sz in zip(part_masks, part_sizes):
@@ -232,37 +209,20 @@ def enumerate_polymers(
                 return False
         return True
 
-    def extend(sub: int, ext: int, gt_root: int, nbhd: int, size: int) -> None:
-        masks.append(sub)
-        if len(masks) > budget:
+    adj = g.adj_masks
+    sets: list[tuple[int, ...]] = []
+    for members in connected_sets(adj, [1] * g.n, max_size, small_ok):
+        sets.append(members)
+        if len(sets) > budget:
             raise BudgetError(
                 f"more than {budget} polymers; the instance is too dense for "
                 "this truncation depth"
             )
-        if size == max_size:
-            return
-        while ext:
-            wbit = ext & -ext
-            ext ^= wbit
-            w = wbit.bit_length() - 1
-            new_sub = sub | wbit
-            if not small_ok(new_sub):
-                continue
-            fresh = adj[w] & ~nbhd & ~wbit & gt_root
-            extend(new_sub, ext | fresh, gt_root, nbhd | adj[w] | wbit, size + 1)
-
-    full = (1 << g.n) - 1
-    for v in range(g.n):
-        vbit = 1 << v
-        if not small_ok(vbit):
-            continue
-        gt_root = full ^ ((vbit << 1) - 1)  # vertices with index > v
-        extend(vbit, adj[v] & gt_root, gt_root, adj[v] | vbit, 1)
 
     polymers = []
-    for mask in masks:
-        vs = tuple(v for v in range(g.n) if mask >> v & 1)
-        nbhd = mask
+    for members in sets:
+        vs = tuple(sorted(members))
+        mask = nbhd = mask_of(g, vs)
         for v in vs:
             nbhd |= adj[v]
         polymers.append(
@@ -279,7 +239,7 @@ def enumerate_polymers(
 
 def boundary_edge_set(g: Graph, u: Iterable[int]) -> frozenset[tuple[int, int]]:
     """The set of edges with exactly one endpoint in ``u``."""
-    vs = _as_vertex_tuple(g, u)
+    vs = _vertex_tuple(g, u)
     inside = set(vs)
     out = set()
     for a in vs:
@@ -291,8 +251,8 @@ def boundary_edge_set(g: Graph, u: Iterable[int]) -> frozenset[tuple[int, int]]:
 
 def compatible(g: Graph, first, second) -> bool:
     """True iff the two polymers are vertex-disjoint with disjoint boundaries."""
-    a = first.vertices if isinstance(first, Polymer) else _as_vertex_tuple(g, first)
-    b = second.vertices if isinstance(second, Polymer) else _as_vertex_tuple(g, second)
+    a = first.vertices if isinstance(first, Polymer) else _vertex_tuple(g, first)
+    b = second.vertices if isinstance(second, Polymer) else _vertex_tuple(g, second)
     if set(a) & set(b):
         return False
     return not (boundary_edge_set(g, a) & boundary_edge_set(g, b))
@@ -322,10 +282,8 @@ def restricted_log_partition(
     distinct ground-state colours.
     """
     parts = normalize_parts(g, parts)
-    psi = _validate_ground_state(parts, psi, q)
-    if beta < 0:
-        raise PreconditionError(f"beta must be nonnegative, got {beta}")
-    vs = _as_vertex_tuple(g, u)
+    psi = _validate_ground_state(parts, psi, q, beta)
+    vs = _vertex_tuple(g, u)
     if not vs:
         return 0.0
     if len(vs) > cap:
@@ -393,7 +351,7 @@ def polymer_log_weight(
         vs = gamma.vertices
         closure = gamma.closure_size
     else:
-        vs = _as_vertex_tuple(g, gamma)
+        vs = _vertex_tuple(g, gamma)
         closure = closure_size(g, vs)
     log_r = restricted_log_partition(g, parts, psi, vs, q, beta)
     return -beta * closure + log_r
@@ -444,8 +402,7 @@ def check_weight_bounds(
 
 def kp_margin(q: int, max_degree: int, beta: float, alpha: float) -> float:
     """Slack of the convergence condition; nonpositive means it holds."""
-    if q < 2:
-        raise PreconditionError(f"q must be at least 2, got {q}")
+    check_q_beta(q, beta, zero_beta_ok=True)
     if max_degree < 1:
         raise PreconditionError(f"max degree must be positive, got {max_degree}")
     if alpha <= 0:
@@ -475,7 +432,7 @@ def kp_sufficient_beta(q: int, max_degree: int, alpha: float) -> float:
 class Cluster:
     """A multiset of polymers whose incompatibility graph is connected."""
 
-    support: tuple[int, ...]  # polymer indices, ascending
+    support: tuple[int, ...]  # polymer indices in search order, root (smallest) first
     multiplicities: tuple[int, ...]
     total_size: int  # sum of mult * |gamma|
     ursell_num: int
@@ -583,42 +540,17 @@ class ClusterExpansion:
                     inc[j] |= 1 << i
         self._sizes = tuple(sizes)
 
+        # supports: the connected sets of the incompatibility graph
         supports: list[tuple[int, ...]] = []
         count = 0
-
-        def extend(sub: tuple[int, ...], ext: int, gt_root: int, nbhd: int, size: int):
-            nonlocal count
+        for support in connected_sets(inc, sizes, max_total_size):
             count += 1
             if count > budget:
                 raise BudgetError(
                     f"cluster enumeration exceeded budget {budget}; "
                     "request a looser accuracy or a smaller instance"
                 )
-            supports.append(sub)
-            ext_left = ext
-            while ext_left:
-                wbit = ext_left & -ext_left
-                ext_left ^= wbit
-                w = wbit.bit_length() - 1
-                new_size = size + sizes[w]
-                if new_size > max_total_size:
-                    continue
-                fresh = inc[w] & ~nbhd & ~wbit & gt_root
-                extend(
-                    sub + (w,),
-                    ext_left | fresh,
-                    gt_root,
-                    nbhd | inc[w] | wbit,
-                    new_size,
-                )
-
-        full = (1 << t) - 1 if t else 0
-        for root in range(t):
-            if sizes[root] > max_total_size:
-                continue
-            rbit = 1 << root
-            gt_root = full ^ ((rbit << 1) - 1)
-            extend((root,), inc[root] & gt_root, gt_root, inc[root] | rbit, sizes[root])
+            supports.append(support)
 
         ursell_cache: dict[tuple[tuple[int, ...], int], int] = {}
         clusters: list[Cluster] = []
@@ -754,7 +686,7 @@ def truncated_log_xi(
     guarantee would then be unsupported.
     """
     parts = normalize_parts(g, parts)
-    psi = _validate_ground_state(parts, psi, q)
+    psi = _validate_ground_state(parts, psi, q, beta)
     if not kp_condition_holds(q, g.max_degree, beta, alpha):
         raise PreconditionError(
             "summability condition fails: "

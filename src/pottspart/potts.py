@@ -22,7 +22,13 @@ from typing import Mapping, Sequence
 
 from .budgets import GROUND_STATE_CAP, Budgets
 from .errors import BudgetError, PreconditionError
-from .graphs import Graph, induced_subgraph, is_alpha_expander, mask_of
+from .graphs import (
+    SUBSET_ENUM_MAX_N,
+    Graph,
+    induced_subgraph,
+    is_alpha_expander,
+    mask_of,
+)
 from .oracle import exact_log_z
 from .partition import (
     ExpanderPartition,
@@ -335,8 +341,9 @@ def approx_log_z_expander(
     """Relative xi-approximation of log Z for an alpha-expander graph.
 
     The expansion hypothesis is the caller's responsibility; it is checked
-    exhaustively when n <= 20 and trusted otherwise.  The single-part
-    pipeline runs with the q monochromatic colourings as ground states.
+    exhaustively when n <= SUBSET_ENUM_MAX_N and trusted otherwise.  The
+    single-part pipeline runs with the q monochromatic colourings as ground
+    states.
     """
     xi = _check_q_beta_xi(q, beta, xi)
     if not (math.isfinite(alpha) and alpha > 0):
@@ -354,7 +361,7 @@ def approx_log_z_expander(
             f"beta={beta:.6g} is below the required threshold {need:.6g} "
             f"for q={q}, max degree {g.max_degree}, alpha={alpha:.6g}"
         )
-    if g.n <= 20:
+    if g.n <= SUBSET_ENUM_MAX_N:
         ok, witness = is_alpha_expander(g, alpha)
         if not ok:
             raise PreconditionError(

@@ -15,15 +15,18 @@ from pottspart.graphs import (
     boundary_size,
     closure_size,
     components,
+    connected_sets,
     cross_edges,
     induced_subgraph,
     is_alpha_expander,
+    mask_of,
     parse_graph,
     serialize_graph,
     set_conductance,
     total_volume,
     volume,
 )
+from pottspart.polymers import boundary_edge_set
 
 from conftest import complete, cycle, path, two_triangles
 
@@ -196,6 +199,16 @@ class TestSetQuantities:
             set_conductance(g, [2])
 
 
+@pytest.mark.parametrize(
+    "refuses",
+    [volume, mask_of, induced_subgraph, boundary_edge_set],
+    ids=lambda f: f.__name__,
+)
+def test_vertex_set_with_a_repeat_is_refused(refuses):
+    with pytest.raises(PreconditionError, match="repeats"):
+        refuses(cycle(5), [0, 1, 1])
+
+
 class TestInducedSubgraph:
     def test_relabelling_map(self):
         g = cycle(5)
@@ -236,6 +249,58 @@ class TestComponents:
         assert len(components(path(6))) == 1
 
 
+def _connected_mask(g: Graph, mask: int) -> bool:
+    start = mask & -mask
+    seen = start
+    frontier = start
+    while frontier:
+        v = (frontier & -frontier).bit_length() - 1
+        frontier ^= 1 << v
+        fresh = g.adj_masks[v] & mask & ~seen
+        seen |= fresh
+        frontier |= fresh
+    return seen == mask
+
+
+class TestConnectedSets:
+    @pytest.mark.parametrize("filtered", [False, True])
+    def test_matches_bruteforce(self, filtered):
+        rng = random.Random(29 + filtered)
+        checked = 0
+        for _ in range(40):
+            g = _random_graph(rng, rng.randint(3, 10), rng.choice((0.3, 0.5)))
+            if g is None:
+                continue
+            weights = [rng.randint(1, 3) for _ in range(g.n)]
+            cap = rng.randint(1, 12)
+            # hereditary filter: at most two vertices of a fixed half
+            half = mask_of(g, rng.sample(range(g.n), g.n // 2))
+            admit = (lambda m: (m & half).bit_count() <= 2) if filtered else None
+            expected = {
+                mask
+                for mask in range(1, 1 << g.n)
+                if _connected_mask(g, mask)
+                and sum(weights[v] for v in range(g.n) if mask >> v & 1) <= cap
+                and (admit is None or admit(mask))
+            }
+            got = list(connected_sets(g.adj_masks, weights, cap, admit))
+            masks = [mask_of(g, members) for members in got]
+            assert len(masks) == len(set(masks))  # each set once
+            assert set(masks) == expected
+            seen = set()
+            for members in got:
+                assert members[0] == min(members)
+                # members in the order added: every prefix is connected,
+                # and the set it grew from came earlier (pre-order)
+                for k in range(1, len(members) + 1):
+                    assert _connected_mask(g, mask_of(g, members[:k]))
+                if len(members) > 1:
+                    assert members[:-1] in seen
+                seen.add(members)
+            checked += len(got)
+        assert checked > 100
+
+
 class TestAlphaExpander:
     def test_complete4_is_2_expander(self):
         ok, witness = is_alpha_expander(complete(4), 2)
@@ -265,3 +330,10 @@ class TestAlphaExpander:
         ok, witness = is_alpha_expander(g, 2)
         assert not ok
         assert witness == (0,)  # mask 1 is checked first and violates
+        # the Gray-order scan meets {1, 3} (mask 10) before {3} (mask 8)
+        g = Graph.from_edges(
+            [(0, 1), (0, 2), (0, 4), (0, 5), (1, 3), (1, 4), (2, 5), (4, 5)]
+        )
+        ok, witness = is_alpha_expander(g, Fraction(4, 3))
+        assert not ok
+        assert witness == (3,)
