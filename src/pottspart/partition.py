@@ -13,16 +13,19 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Mapping, Sequence
+from typing import Collection, Iterable, Mapping, Sequence
 
 from .errors import BudgetError, PreconditionError, VerificationError
 from .graphs import (
     SUBSET_ENUM_MAX_N,
     Graph,
+    _vertex_tuple,
     boundary_size_mask,
+    cross_edges,
     cross_edges_mask,
     induced_subgraph,
     mask_of,
+    set_conductance,
     volume,
 )
 from .oracle import min_conductance
@@ -144,7 +147,7 @@ def phi_after_vertex_removal(g: Graph, b: Iterable[int], u: int) -> Fraction:
     rescales the conductance as
     phi(b - u) = vol(b)/(vol(b)-d) * phi(b) - (d - 2*d_b)/(vol(b)-d).
     """
-    bs = sorted(set(b))
+    bs = _vertex_tuple(g, b)
     if u not in bs:
         raise PreconditionError(f"vertex {u} is not in the set")
     vol_b = volume(g, bs)
@@ -162,38 +165,25 @@ def phi_after_vertex_removal(g: Graph, b: Iterable[int], u: int) -> Fraction:
     )
 
 
+def _inner_lower_bound(sweep):
+    """Lower bound on a part's conductance from its sweep conductance.
+
+    Cheeger gives phi >= lambda_2 / 2 and the sweep is at most
+    sqrt(2 * lambda_2), so phi >= sweep^2 / 4: exact for a Fraction, and
+    the guaranteed bound when given the float threshold phi_in.
+    """
+    return sweep * sweep / 4
+
+
+def _min_degree_ratio(g: Graph, vs: Collection[int]) -> Fraction:
+    """Min over v in vs of (degree of v into vs) / (degree of v)."""
+    pm = mask_of(g, vs)
+    return min(Fraction((g.adj_masks[v] & pm).bit_count(), g.degrees[v]) for v in vs)
+
+
 # ---------------------------------------------------------------------------
 # the partitioner
 # ---------------------------------------------------------------------------
-
-
-class _State:
-    """Mutable partition state with exact-arithmetic helpers."""
-
-    def __init__(self, g: Graph):
-        self.g = g
-        self.parts: list[set[int]] = [set(range(g.n))]
-        self.cores: list[set[int]] = [set(range(g.n))]
-
-    @property
-    def ell(self) -> int:
-        return len(self.parts)
-
-    def mask(self, s: set[int]) -> int:
-        m = 0
-        for v in s:
-            m |= 1 << v
-        return m
-
-    def e(self, s: set[int], t: set[int]) -> int:
-        return cross_edges_mask(self.g, self.mask(s), self.mask(t))
-
-    def phi(self, s: set[int]) -> Fraction:
-        m = self.mask(s)
-        return Fraction(boundary_size_mask(self.g, m), volume(self.g, s))
-
-    def vol(self, s: set[int]) -> int:
-        return volume(self.g, s)
 
 
 def _sweep_in_part(g: Graph, part: set[int]):
@@ -215,20 +205,34 @@ def _sweep_in_part(g: Graph, part: set[int]):
     return {vs[j] for j in sc.vertices}, sc.conductance
 
 
+def _strongest_attachment(
+    g: Graph, s_mask: int, target_masks: Sequence[int], own: int
+) -> tuple[int, int]:
+    """(j, e(s, target j)) with the most edges from s, over targets j != own.
+
+    Ties go to the lowest index; (-1, -1) when there is no other target.
+    """
+    best_j = best_e = -1
+    for j, t_mask in enumerate(target_masks):
+        if j != own:
+            e_j = cross_edges_mask(g, s_mask, t_mask)
+            if e_j > best_e:
+                best_j, best_e = j, e_j
+    return best_j, best_e
+
+
 def _relative_conductance_leq(
-    st: _State, s: set[int], b: set[int], threshold: Fraction
+    g: Graph, s: set[int], b: set[int], threshold: Fraction
 ) -> bool:
     """Exact test of e(s,b)*vol(b) / (vol(b\\s)*e(s,V\\b)) <= threshold.
 
     A zero denominator counts as +infinity (test fails) unless the numerator
     is zero too.
     """
-    num = st.e(s, b) * st.vol(b) * threshold.denominator
-    rest = set(range(st.g.n)) - b
-    den = st.vol(b - s) * st.e(s, rest) * threshold.numerator
+    num = cross_edges(g, s, b) * volume(g, b) * threshold.denominator
+    rest = set(range(g.n)) - b
+    den = volume(g, b - s) * cross_edges(g, s, rest) * threshold.numerator
     return num <= den
-
-
 
 
 def partition_into_expanders(
@@ -255,7 +259,8 @@ def partition_into_expanders(
     k = params.k
     n, m = g.n, g.m
     budget = 10 * k * n * m
-    st = _State(g)
+    parts: list[set[int]] = [set(range(n))]
+    cores: list[set[int]] = [set(range(n))]
     if _resume is not None:
         parts_in, cores_in = _resume
         parts = [set(p) for p in parts_in]
@@ -271,10 +276,8 @@ def partition_into_expanders(
             if p & covered:
                 raise PreconditionError(f"resume part {idx} overlaps another")
             covered |= p
-        if covered != set(range(g.n)):
+        if covered != set(range(n)):
             raise PreconditionError("resume parts must cover every vertex")
-        st.parts = parts
-        st.cores = cores
     counters = {
         "main": 0,
         "coreSplit": 0,
@@ -295,9 +298,8 @@ def partition_into_expanders(
         changed = True
         while changed:
             changed = False
-            for i in range(st.ell):
-                core = st.cores[i]
-                core_mask = st.mask(core)
+            for i, core in enumerate(cores):
+                core_mask = mask_of(g, core)
                 for v in sorted(core):
                     deg_in = (g.adj_masks[v] & core_mask).bit_count()
                     if 5 * deg_in < g.degrees[v]:
@@ -305,7 +307,7 @@ def partition_into_expanders(
                             raise VerificationError(
                                 f"core {i} would be emptied by degree repair"
                             )
-                        phi_before = st.phi(core)
+                        phi_before = set_conductance(g, core)
                         phi_after = phi_after_vertex_removal(g, core, v)
                         if phi_after > phi_before:
                             raise VerificationError(
@@ -327,22 +329,14 @@ def partition_into_expanders(
         changed = True
         while changed:
             changed = False
-            part_masks = [st.mask(p) for p in st.parts]
-            for i in range(st.ell):
-                for v in sorted(st.parts[i] - st.cores[i]):
+            part_masks = [mask_of(g, p) for p in parts]
+            for i in range(len(parts)):
+                for v in sorted(parts[i] - cores[i]):
                     e_here = (g.adj_masks[v] & part_masks[i]).bit_count()
-                    best_j = -1
-                    best_e = -1
-                    for j in range(st.ell):
-                        if j == i:
-                            continue
-                        e_j = (g.adj_masks[v] & part_masks[j]).bit_count()
-                        if e_j > best_e:
-                            best_e = e_j
-                            best_j = j
-                    if best_j >= 0 and e_here < best_e:
-                        st.parts[i].discard(v)
-                        st.parts[best_j].add(v)
+                    j, e_j = _strongest_attachment(g, 1 << v, part_masks, i)
+                    if e_here < e_j:
+                        parts[i].discard(v)
+                        parts[j].add(v)
                         counters["repairAttraction"] += 1
                         if counters["repairAttraction"] > budget:
                             raise BudgetError(
@@ -353,20 +347,20 @@ def partition_into_expanders(
                         break
                 if changed:
                     break
-        for i in range(st.ell):
-            if not st.cores[i]:
+        for i, (part, core) in enumerate(zip(parts, cores)):
+            if not core:
                 raise VerificationError(f"core {i} became empty")
-            if not st.cores[i] <= st.parts[i]:
+            if not core <= part:
                 raise VerificationError(f"core {i} escaped its part")
 
     def assert_invariants() -> None:
-        if st.ell >= k:
+        if len(parts) >= k:
             raise VerificationError(
-                f"{st.ell} parts created; fewer than {k} are guaranteed"
+                f"{len(parts)} parts created; fewer than {k} are guaranteed"
             )
-        bound = threshold(st.ell)
-        for i in range(st.ell):
-            phi_core = st.phi(st.cores[i])
+        bound = threshold(len(parts))
+        for i, core in enumerate(cores):
+            phi_core = set_conductance(g, core)
             if phi_core > bound:
                 raise VerificationError(
                     f"core {i} conductance {phi_core} exceeds level bound {bound}"
@@ -382,25 +376,24 @@ def partition_into_expanders(
                 "this signals an implementation bug"
             )
 
-        # evaluate the two progress conditions, lowest part index first
+        # evaluate the two progress conditions, lowest part index first; a
+        # pass that chooses no part has swept every part, and those sweeps
+        # back the terminal certificates
+        part_masks = [mask_of(g, p) for p in parts]
+        sweeps = []
         chosen = -1
         merge_holds = False
-        sweep_result = None
-        for i in range(st.ell):
-            frag = st.parts[i] - st.cores[i]
-            attract = False
-            if frag:
-                e_core = st.e(frag, st.cores[i])
-                for j in range(st.ell):
-                    if j != i and e_core < st.e(frag, st.parts[j]):
-                        attract = True
-                        break
-            sw = _sweep_in_part(g, st.parts[i])
-            sparse_cut = sw is not None and sw[1] < params.phi_in
-            if attract or sparse_cut:
+        for i, part in enumerate(parts):
+            frag = part - cores[i]
+            attract = bool(frag) and (
+                _strongest_attachment(g, mask_of(g, frag), part_masks, i)[1]
+                > cross_edges(g, frag, cores[i])
+            )
+            sw = _sweep_in_part(g, part)
+            sweeps.append(sw)
+            if attract or (sw is not None and sw[1] < params.phi_in):
                 chosen = i
                 merge_holds = attract
-                sweep_result = sw
                 break
         if chosen < 0:
             break
@@ -408,169 +401,138 @@ def partition_into_expanders(
         i = chosen
         acted = False
         s_set: set[int] | None = None
-        if sweep_result is not None:
-            s_set = set(sweep_result[0])
+        if sweeps[i] is not None:
+            s_set = sweeps[i][0]
             # orient the cut so it takes at most half the core's volume
-            if 2 * st.vol(s_set & st.cores[i]) > st.vol(st.cores[i]):
-                s_set = st.parts[i] - s_set
+            if 2 * volume(g, s_set & cores[i]) > volume(g, cores[i]):
+                s_set = parts[i] - s_set
 
         if s_set is not None:
-            core = st.cores[i]
+            core = cores[i]
             s_b = s_set & core
             s_b_bar = core - s_set
             s_p = s_set - core
-            level_bound = threshold(st.ell + 1)
+            level_bound = threshold(len(parts) + 1)
 
             if (
                 s_b
                 and s_b_bar
-                and st.phi(s_b) <= level_bound
-                and st.phi(s_b_bar) <= level_bound
+                and set_conductance(g, s_b) <= level_bound
+                and set_conductance(g, s_b_bar) <= level_bound
             ):
                 # split the core: keep the light half, spin off the heavy half
-                st.cores[i] = s_b
-                st.parts[i] = st.parts[i] - s_b_bar
-                st.parts.append(set(s_b_bar))
-                st.cores.append(set(s_b_bar))
+                cores[i] = s_b
+                parts[i] = parts[i] - s_b_bar
+                parts.append(s_b_bar)
+                cores.append(set(s_b_bar))
                 counters["coreSplit"] += 1
                 acted = True
             elif (
                 s_b
                 and s_b_bar
-                and _relative_conductance_leq(st, s_b, core, Fraction(1, 3 * k))
-                and _relative_conductance_leq(st, s_b_bar, core, Fraction(1, 3 * k))
+                and _relative_conductance_leq(g, s_b, core, Fraction(1, 3 * k))
+                and _relative_conductance_leq(g, s_b_bar, core, Fraction(1, 3 * k))
             ):
                 # shrink the core to whichever cut half has smaller
                 # conductance; this never increases the core's conductance
-                phi_core = st.phi(core)
-                picked = s_b if st.phi(s_b) <= st.phi(s_b_bar) else s_b_bar
-                if st.phi(picked) > phi_core:
+                phi_core = set_conductance(g, core)
+                picked = min(s_b, s_b_bar, key=lambda s: set_conductance(g, s))
+                phi_picked = set_conductance(g, picked)
+                if phi_picked > phi_core:
                     raise VerificationError(
                         "core refinement increased core conductance: "
-                        f"{phi_core} -> {st.phi(picked)}"
+                        f"{phi_core} -> {phi_picked}"
                     )
-                st.cores[i] = set(picked)
+                cores[i] = picked
                 counters["coreRefine"] += 1
                 acted = True
-            elif s_p and st.phi(s_p) <= level_bound:
+            elif s_p and set_conductance(g, s_p) <= level_bound:
                 # the sweep found a low-conductance piece outside the core:
                 # make it a part of its own
-                st.parts[i] = st.parts[i] - s_p
-                st.parts.append(set(s_p))
-                st.cores.append(set(s_p))
+                parts[i] = parts[i] - s_p
+                parts.append(s_p)
+                cores.append(set(s_p))
                 counters["partSplit"] += 1
                 acted = True
 
         if not acted:
-            frag = st.parts[i] - st.cores[i]
-            if frag and st.ell > 1:
-                e_home = st.e(frag, st.cores[i])
-                best_j = -1
-                best_e = -1
-                for j in range(st.ell):
-                    if j == i:
-                        continue
-                    e_j = st.e(frag, st.cores[j])
-                    if e_j > best_e:
-                        best_e = e_j
-                        best_j = j
-                if best_j >= 0 and e_home < best_e:
-                    st.parts[best_j] |= frag
-                    st.parts[i] = set(st.cores[i])
+            frag = parts[i] - cores[i]
+            if frag:
+                core_masks = [mask_of(g, c) for c in cores]
+                j, e_j = _strongest_attachment(g, mask_of(g, frag), core_masks, i)
+                if cross_edges(g, frag, cores[i]) < e_j:
+                    parts[j] |= frag
+                    parts[i] = set(cores[i])
                     counters["fragmentMerge"] += 1
                     acted = True
 
+        # nothing has changed the parts while acted is False, so the two
+        # actions below still use this pass's part_masks
         if not acted and s_set is not None:
-            s_p = s_set - st.cores[i]
-            if s_p and st.ell > 1:
-                e_home = st.e(s_p, st.parts[i])
-                best_j = -1
-                best_e = -1
-                for j in range(st.ell):
-                    if j == i:
-                        continue
-                    e_j = st.e(s_p, st.parts[j])
-                    if e_j > best_e:
-                        best_e = e_j
-                        best_j = j
-                if best_j >= 0 and e_home < best_e:
-                    st.parts[i] = st.parts[i] - s_p
-                    st.parts[best_j] |= s_p
+            s_p = s_set - cores[i]
+            if s_p:
+                j, e_j = _strongest_attachment(g, mask_of(g, s_p), part_masks, i)
+                if cross_edges(g, s_p, parts[i]) < e_j:
+                    parts[i] = parts[i] - s_p
+                    parts[j] |= s_p
                     counters["sweepMove"] += 1
                     acted = True
 
         if not acted:
-            if merge_holds:
-                # the fragment is attracted to another part as a whole even
-                # though no listed action applies; moving it to its
-                # strongest attachment strictly reduces cross edges
-                frag = st.parts[i] - st.cores[i]
-                best_j = -1
-                best_e = -1
-                for j in range(st.ell):
-                    if j == i:
-                        continue
-                    e_j = st.e(frag, st.parts[j])
-                    if e_j > best_e:
-                        best_e = e_j
-                        best_j = j
-                if best_j < 0 or best_e <= st.e(frag, st.cores[i]):
-                    raise VerificationError(
-                        "attraction condition held but no better part exists"
-                    )
-                st.parts[best_j] |= frag
-                st.parts[i] = set(st.cores[i])
-                counters["fallbackMerge"] += 1
-            else:
+            if not merge_holds:
                 raise VerificationError(
                     f"a sparse cut exists in part {i} but no action applies; "
                     "the progress guarantee is violated"
                 )
+            # the fragment is attracted to another part as a whole even
+            # though no listed action applies; moving it to its strongest
+            # attachment strictly reduces cross edges
+            frag = parts[i] - cores[i]
+            j, e_j = _strongest_attachment(g, mask_of(g, frag), part_masks, i)
+            if j < 0 or e_j <= cross_edges(g, frag, cores[i]):
+                raise VerificationError(
+                    "attraction condition held but no better part exists"
+                )
+            parts[j] |= frag
+            parts[i] = set(cores[i])
+            counters["fallbackMerge"] += 1
 
         repairs()
         assert_invariants()
 
-    # terminal certificates
+    # terminal certificates, from the sweeps of the pass that ended the loop
     certificates = []
-    for i in range(st.ell):
-        part = st.parts[i]
-        sw = _sweep_in_part(g, part)
+    for i, (part, sw) in enumerate(zip(parts, sweeps)):
         if sw is None or sw[1] < params.phi_in:
             raise VerificationError(
                 f"terminal part {i} still admits a sparse cut "
                 "(or is degenerate); the loop must not have ended"
             )
-        sweep_val: Fraction = sw[1]
-        phi_lb = sweep_val * sweep_val / 4
-        phi_outer = st.phi(part)
-        part_mask = st.mask(part)
-        ratio = min(
-            Fraction((g.adj_masks[v] & part_mask).bit_count(), g.degrees[v])
-            for v in part
-        )
+        phi_outer = set_conductance(g, part)
+        ratio = _min_degree_ratio(g, part)
         if ratio < params.tau:
             raise VerificationError(
                 f"part {i} keeps only {ratio} of some vertex degree, "
                 f"below the guaranteed {params.tau}"
             )
-        outer_bound = st.ell * math.e * params.rho_star
-        if st.ell > 1 and phi_outer > outer_bound:
+        outer_bound = len(parts) * math.e * params.rho_star
+        if len(parts) > 1 and phi_outer > outer_bound:
             raise VerificationError(
                 f"part {i} outer conductance {phi_outer} exceeds {outer_bound}"
             )
         certificates.append(
             PartCertificate(
-                sweep_conductance=sweep_val,
-                phi_inner_lb=phi_lb,
+                sweep_conductance=sw[1],
+                phi_inner_lb=_inner_lower_bound(sw[1]),
                 phi_outer=phi_outer,
                 min_degree_ratio=ratio,
             )
         )
 
     return ExpanderPartition(
-        parts=tuple(tuple(sorted(p)) for p in st.parts),
-        cores=tuple(tuple(sorted(c)) for c in st.cores),
-        ell=st.ell,
+        parts=tuple(tuple(sorted(p)) for p in parts),
+        cores=tuple(tuple(sorted(c)) for c in cores),
+        ell=len(parts),
         certificates=tuple(certificates),
         iterations=dict(counters),
     )
@@ -630,24 +592,17 @@ def verify_partition(
 ) -> PartitionReport:
     """Check a claimed partition against the three per-part certificates.
 
-    Inner conductance is verified by brute force for parts of at most 20
-    vertices and by the sweep bound otherwise; the outer conductance and
-    degree-ratio checks are exact.
+    Inner conductance is verified by brute force for parts of at most
+    SUBSET_ENUM_MAX_N vertices and by the sweep bound otherwise; the outer
+    conductance and degree-ratio checks are exact.
     """
     norm = normalize_parts(g, parts)
-    inner_threshold = params.phi_in * params.phi_in / 4.0
+    inner_threshold = _inner_lower_bound(params.phi_in)
     reports = []
     for vs in norm:
-        pm = mask_of(g, vs)
-        phi_outer = (
-            Fraction(0)
-            if len(norm) == 1
-            else Fraction(boundary_size_mask(g, pm), volume(g, vs))
-        )
+        phi_outer = Fraction(0) if len(norm) == 1 else set_conductance(g, vs)
         phi_outer_ok = phi_outer <= params.phi_out
-        ratio = min(
-            Fraction((g.adj_masks[v] & pm).bit_count(), g.degrees[v]) for v in vs
-        )
+        ratio = _min_degree_ratio(g, vs)
         ratio_ok = ratio >= params.tau
         sub, _ = induced_subgraph(g, vs, allow_isolated=True)
         inner_lb: Fraction | None = None
@@ -668,7 +623,7 @@ def verify_partition(
             else:
                 sw = _sweep_in_part(g, set(vs))
                 assert sw is not None
-                inner_lb = sw[1] * sw[1] / 4
+                inner_lb = _inner_lower_bound(sw[1])
                 inner_ok = inner_lb >= inner_threshold
         reports.append(
             PartReport(

@@ -33,6 +33,7 @@ from .oracle import exact_log_z
 from .partition import (
     ExpanderPartition,
     PartitionParams,
+    _inner_lower_bound,
     _sweep_in_part,
     partition_into_expanders,
 )
@@ -119,7 +120,8 @@ def certified_alpha(
     the induced subgraph) at least phi_inner * volume >= phi_inner * mindeg
     * size, so alpha = min over parts of (inner conductance lower bound) *
     (min induced degree).  The inner bound is the per-part sweep-cut
-    certificate (value^2 / 4) unless explicit bounds are supplied.
+    certificate (partition._inner_lower_bound) unless explicit bounds are
+    supplied.
     Single-vertex parts admit no nonempty small set and contribute nothing;
     the result is +inf when every part is a single vertex.
     """
@@ -134,7 +136,7 @@ def certified_alpha(
             sw = _sweep_in_part(g, set(vs))
             if sw is None:
                 return 0.0  # edgeless multi-vertex part: no expansion at all
-            phi_lb = sw[1] * sw[1] / 4
+            phi_lb = _inner_lower_bound(sw[1])
         alpha = min(alpha, float(phi_lb) * _part_min_inside_degree(g, vs))
     return alpha
 
@@ -194,7 +196,7 @@ def required_beta_sse(
         / (lam * lam * min_degree)
     )
     alpha_guaranteed = (
-        (params.phi_in * params.phi_in / 4.0) * float(params.tau) * min_degree
+        _inner_lower_bound(params.phi_in) * float(params.tau) * min_degree
     )
     inner = required_beta_good_parts(q, max_degree, alpha_guaranteed, 1.0 / k)
     return max(headline, inner)

@@ -163,7 +163,8 @@ def sweep_cut(g: Graph, spectrum: Spectrum | None = None) -> SweepCut:
     if best_vol <= vol_total - best_vol:
         side = prefix
     else:
-        side = tuple(v for v in range(g.n) if v not in set(prefix))
+        taken = set(prefix)
+        side = tuple(v for v in range(g.n) if v not in taken)
     phi = Fraction(best_bnd, best_den)
     cheeger = math.sqrt(max(2.0 * lam2, 0.0))
     if float(phi) > cheeger + 1e-9:

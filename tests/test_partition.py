@@ -7,6 +7,7 @@ from fractions import Fraction
 
 import pytest
 
+import pottspart.partition as partition_module
 from conftest import (
     complete,
     cycle,
@@ -26,7 +27,7 @@ from pottspart.graphs import (
 from pottspart.partition import (
     PartitionParams,
     _relative_conductance_leq,
-    _State,
+    _strongest_attachment,
     partition_into_expanders,
     phi_after_vertex_removal,
     verify_partition,
@@ -162,28 +163,45 @@ class TestPhiAfterVertexRemoval:
         with pytest.raises(PreconditionError):
             phi_after_vertex_removal(g, [0], 0)  # vol == degree
 
+    def test_repeated_vertex_is_refused(self):
+        g = bridged_cliques(3)
+        assert phi_after_vertex_removal(g, [0, 1, 2], 1) == Fraction(3, 5)
+        with pytest.raises(PreconditionError, match="repeats a vertex"):
+            phi_after_vertex_removal(g, [0, 0, 1, 2], 1)
+
+
+class TestStrongestAttachment:
+    def test_tie_break_own_part_and_no_other_part(self):
+        g = path(4)  # 0-1-2-3
+        s = mask_of(g, [1])
+        both, left, right = mask_of(g, [0, 2]), mask_of(g, [0]), mask_of(g, [2])
+        # the own part (index 0) is the strongest and is skipped; the tie
+        # between indices 1 and 2 goes to the lower index
+        assert _strongest_attachment(g, s, [both, left, right], 0) == (1, 1)
+        assert _strongest_attachment(g, s, [left, right, both], 2) == (0, 1)
+        assert _strongest_attachment(g, s, [left, both, right], 0) == (1, 2)
+        assert _strongest_attachment(g, s, [both], 0) == (-1, -1)
+        assert _strongest_attachment(g, s, [], 0) == (-1, -1)
+
 
 class TestRelativeConductance:
     def test_path_examples(self):
         g = path(4)
-        st = _State(g)
         # s = {2} inside b = {0,1,2}: one edge into b, one edge out of b,
         # vol(b) = 5, vol(b minus s) = 3: ratio 5/3
-        assert _relative_conductance_leq(st, {2}, {0, 1, 2}, Fraction(5, 3))
-        assert not _relative_conductance_leq(st, {2}, {0, 1, 2}, Fraction(3, 2))
+        assert _relative_conductance_leq(g, {2}, {0, 1, 2}, Fraction(5, 3))
+        assert not _relative_conductance_leq(g, {2}, {0, 1, 2}, Fraction(3, 2))
 
     def test_zero_outside_edges_is_infinite(self):
         g = path(4)
-        st = _State(g)
         # s = {0} has no edges leaving b = {0,1,2}: ratio is +infinity
-        assert not _relative_conductance_leq(st, {0}, {0, 1, 2}, Fraction(100))
+        assert not _relative_conductance_leq(g, {0}, {0, 1, 2}, Fraction(100))
 
     def test_zero_over_zero_counts_as_zero(self):
         g = two_triangles()
-        st = _State(g)
         # s = {0,1,2} is a whole component of b = V: no edges into b's rest,
         # none out of b
-        assert _relative_conductance_leq(st, {0, 1, 2}, set(range(6)), Fraction(1, 100))
+        assert _relative_conductance_leq(g, {0, 1, 2}, set(range(6)), Fraction(1, 100))
 
 
 class TestPartitionIntoExpanders:
@@ -231,6 +249,23 @@ class TestPartitionIntoExpanders:
             assert cert.phi_inner_lb == Fraction(100, 1521)
             assert cert.phi_outer == Fraction(1, 1561)
             assert cert.min_degree_ratio == Fraction(39, 40)
+
+    def test_terminal_parts_are_swept_once(self, monkeypatch):
+        # the pass that ends the loop sweeps every part; the terminal
+        # certificates reuse those sweeps instead of sweeping again
+        swept = []
+        sweep = partition_module._sweep_in_part
+
+        def counting_sweep(g, part):
+            swept.append(frozenset(part))
+            return sweep(g, part)
+
+        monkeypatch.setattr(partition_module, "_sweep_in_part", counting_sweep)
+        g = bridged_cliques(40)
+        part = partition_into_expanders(g, PartitionParams.from_graph(g, 3))
+        assert part.ell == 2
+        for p in part.parts:
+            assert swept.count(frozenset(p)) == 1
 
     def test_small_bridged_cliques_k3_stay_whole(self):
         # K_10 pairs are too well connected relative to the threshold
