@@ -13,7 +13,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .budgets import STATE_BUDGET
+from .budgets import GROUND_STATE_CAP, STATE_BUDGET
 from .errors import BudgetError, PreconditionError, VerificationError
 from .graphs import (
     SUBSET_ENUM_MAX_N,
@@ -49,7 +49,6 @@ __all__ = [
     "k_way_expansion",
 ]
 
-GROUND_STATE_BUDGET = 10**6
 XI_POLYMER_BUDGET = 10**3
 XI_FAMILY_BUDGET = 10**7
 KWAY_MAX_N = 14
@@ -162,8 +161,8 @@ def exact_log_z_star(
     check_q_beta(q, beta, zero_beta_ok=True)
     parts = normalize_parts(g, parts)
     ell = len(parts)
-    if q**ell > GROUND_STATE_BUDGET:
-        raise BudgetError(f"{q**ell} ground states exceed budget {GROUND_STATE_BUDGET}")
+    if q**ell > GROUND_STATE_CAP:
+        raise BudgetError(f"{q**ell} ground states exceed budget {GROUND_STATE_CAP}")
     if q**g.n > STATE_BUDGET:
         raise BudgetError(
             f"enumeration needs {q**g.n} states, over budget {STATE_BUDGET}"

@@ -99,6 +99,16 @@ def _psi_of_index(index: int, q: int, ell: int) -> tuple[int, ...]:
     return tuple(out)
 
 
+def _colour_pattern(psi: Sequence[int]) -> tuple[int, ...]:
+    """psi with its colours renamed in order of first appearance.
+
+    Two ground states share a pattern exactly when a colour permutation maps
+    one onto the other: (2, 0, 2) and (0, 1, 0) both give (0, 1, 0).
+    """
+    names: dict[int, int] = {}
+    return tuple(names.setdefault(c, len(names)) for c in psi)
+
+
 # ---------------------------------------------------------------------------
 # certified expansion constants
 # ---------------------------------------------------------------------------
@@ -277,6 +287,19 @@ def _approx_core(
     xi must already be clamped and the convergence gate checked by the
     caller.  When xi <= e^(-n/2) the exact oracle is cheaper than the
     expansion and is used instead (the result is then exact).
+
+    log Xi^psi is evaluated once per colour pattern (:func:`_colour_pattern`),
+    at the first psi of each pattern in index order, and copied to the rest.
+    The copy is bit-exact; for a colour permutation s:
+
+    1. lambda -> s.lambda maps the colourings allowed under psi onto those
+       allowed under s.psi and keeps X, so each restricted sum has the same
+       integer histogram and hence the same float;
+    2. closure sizes do not depend on psi, so the log-weights, the
+       weight-bound check and log Xi are bitwise equal across the orbit;
+    3. an orbit breaks the weight bound in all of its members or in none, so
+       the first violating psi is an evaluated one and every refusal is
+       unchanged.
     """
     n = g.n
     ell = len(parts)
@@ -302,13 +325,16 @@ def _approx_core(
     model = enumerate_polymers(g, parts, depth, budget=budgets.polymers)
     expansion = ClusterExpansion(g, model, depth, budget=budgets.clusters)
     evaluated = []
+    log_xi_of: dict[tuple[int, ...], float] = {}  # colour pattern -> log Xi
     for index in range(states):
         psi = _psi_of_index(index, q, ell)
         m_psi = ground_state_edges(g, parts, psi)
-        tx = truncated_log_xi(
-            g, parts, psi, q, beta, zeta, alpha, model=model, expansion=expansion
-        )
-        evaluated.append((psi, m_psi, tx.log_xi))
+        pattern = _colour_pattern(psi)
+        if pattern not in log_xi_of:
+            log_xi_of[pattern] = truncated_log_xi(
+                g, parts, psi, q, beta, zeta, alpha, model=model, expansion=expansion
+            ).log_xi
+        evaluated.append((psi, m_psi, log_xi_of[pattern]))
 
     log_z = log_sum_exp(beta * m + lx for _, m, lx in evaluated)
     per_psi = tuple(

@@ -8,6 +8,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from pottspart.errors import BudgetError, PreconditionError
 from pottspart.graphs import Graph, closure_size, components, induced_subgraph
@@ -340,6 +341,26 @@ class TestWeights:
         lws = polymer_log_weights(g, parts, (0, 1), polys, 2, beta)
         with pytest.raises(PreconditionError, match="weight bound"):
             check_weight_bounds(polys, lws, 2, beta, alpha=5.0)
+
+    @given(
+        st.integers(3, 7),
+        st.integers(1, 3),
+        st.integers(2, 4),
+        st.floats(0.0, 30.0),
+        st.integers(0, 2**30),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_colour_permutation_keeps_weights_bitwise(self, n, ell, q, beta, seed):
+        # the reuse of log Xi across a colour-permutation orbit rests on this
+        rng = random.Random(seed)
+        g = _random_connected(rng, n)
+        parts = _random_partition(rng, n, min(ell, n))
+        polys = enumerate_polymers(g, parts, max_size=3)
+        psi = [rng.randrange(q) for _ in parts]
+        sigma = rng.sample(range(q), q)
+        permuted = [sigma[c] for c in psi]
+        lws = polymer_log_weights(g, parts, psi, polys, q, beta)
+        assert polymer_log_weights(g, parts, permuted, polys, q, beta) == lws
 
 
 class TestSummability:

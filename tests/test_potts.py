@@ -47,8 +47,11 @@ from pottspart.polymers import (
     is_sparse,
     kp_sufficient_beta,
     restricted_log_partition,
+    truncated_log_xi,
     truncation_depth,
 )
+from pottspart import potts
+from pottspart.generate import clique_chain
 from pottspart.potts import (
     GROUND_STATE_CAP,
     XI_CAP,
@@ -403,6 +406,87 @@ class TestGoodPartsPipeline:
         assert abs(res.log_z - exact_log_z(g, 2, beta)) <= 0.05
         # alpha feeds only the admission checks, never the estimate
         assert res.log_z == raw.log_z
+
+
+def _clique_path(sizes):
+    """Cliques of the given sizes in a row, each joined to the next by one edge."""
+    edges, parts, start = [], [], 0
+    for s in sizes:
+        part = list(range(start, start + s))
+        if parts:
+            edges.append((parts[-1][-1], part[0]))
+        edges += clique_edges(part)
+        parts.append(part)
+        start += s
+    return Graph.from_edges(edges), parts
+
+
+def _good_parts_instance(g, parts, q):
+    alpha = certified_alpha(g, parts)
+    eta = min(len(p) for p in parts) / g.n
+    return alpha, 1.1 * required_beta_good_parts(q, g.max_degree, alpha, eta)
+
+
+class TestColourPatternReuse:
+    """log Xi is evaluated once per colour-permutation orbit of ground states."""
+
+    @staticmethod
+    def _count_evaluations(monkeypatch):
+        calls = []
+        inner = potts.truncated_log_xi
+
+        def counted(*args, **kwargs):
+            calls.append(args[2])
+            return inner(*args, **kwargs)
+
+        monkeypatch.setattr(potts, "truncated_log_xi", counted)
+        return calls
+
+    @pytest.mark.parametrize(
+        "g, parts, q",
+        [
+            (clique_chain(3, 3, 1), [[0, 1, 2], [3, 4, 5], [6, 7, 8]], 3),
+            (*_clique_path([3, 4, 3]), 4),
+        ],
+        ids=["clique-chain(3,3,1) q=3", "K3-K4-K3 q=4"],
+    )
+    def test_every_ground_state_matches_a_direct_evaluation(self, g, parts, q):
+        xi = 0.1
+        alpha, beta = _good_parts_instance(g, parts, q)
+        res = approx_log_z_good_parts(g, parts, q, beta, xi)
+        assert res.mode == "partition"
+        assert res.ground_states == len(res.per_psi) == q ** len(parts)
+        for entry in res.per_psi:
+            psi = entry["psi"]
+            direct = truncated_log_xi(g, parts, psi, q, beta, xi / 2, alpha)
+            assert entry["logXi"] == direct.log_xi
+            assert entry["monochromaticEdges"] == ground_state_edges(g, parts, psi)
+        # the same colour multiset, but a different pattern and value: a
+        # cache keyed on the sorted colours would fail the loop above
+        by_psi = {tuple(p["psi"]): p["logXi"] for p in res.per_psi}
+        assert by_psi[(0, 0, 1)] != by_psi[(0, 1, 0)]
+
+    @pytest.mark.parametrize("t, evaluations", [(3, 5), (4, 14)])
+    def test_good_parts_evaluates_one_state_per_pattern(
+        self, monkeypatch, t, evaluations
+    ):
+        # sum over j <= q of S(t, j): 1 + 3 + 1 for t=3, 1 + 7 + 6 for t=4
+        g = clique_chain(t, 3, 1)
+        parts = [list(range(3 * i, 3 * i + 3)) for i in range(t)]
+        _, beta = _good_parts_instance(g, parts, 3)
+        calls = self._count_evaluations(monkeypatch)
+        res = approx_log_z_good_parts(g, parts, 3, beta, 0.1)
+        assert res.ground_states == 3**t
+        assert len(calls) == evaluations
+        assert len({potts._colour_pattern(psi) for psi in calls}) == evaluations
+
+    def test_expander_evaluates_one_state(self, monkeypatch):
+        calls = self._count_evaluations(monkeypatch)
+        res = approx_log_z_expander(cycle(12), 2, 21.0, 0.01, 1.0 / 3.0)
+        assert res.mode == "expander"
+        assert res.ground_states == 2
+        assert calls == [(0,)]
+        assert res.per_psi[0]["logXi"] == res.per_psi[1]["logXi"]
 
 
 class TestWithPartitionPipeline:
