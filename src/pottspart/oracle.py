@@ -27,13 +27,11 @@ from .polymers import (
     POLYMER_SIZE_CAP,
     boundary_edge_set,
     check_q_beta,
-    compatible,
     enumerate_polymers,
+    ground_colouring,
     is_sparse,
     normalize_parts,
-    part_index_of,
     polymer_log_weights,
-    _validate_ground_state,
 )
 from .util import OnlineLogSumExp, as_fraction, log_sum_exp
 
@@ -110,11 +108,6 @@ def exact_log_z(
     return total
 
 
-def _psi_colours(g: Graph, parts, psi) -> list[int]:
-    owner = part_index_of(g, parts)
-    return [psi[owner[v]] for v in range(g.n)]
-
-
 def exact_log_z_psi(
     g: Graph,
     parts: Sequence[Iterable[int]],
@@ -127,8 +120,7 @@ def exact_log_z_psi(
     Close means: in every part, a strict majority of vertices receives the
     ground state's colour for that part.
     """
-    parts = normalize_parts(g, parts)
-    psi = _validate_ground_state(parts, psi, q, beta)
+    parts, ground = ground_colouring(g, parts, psi, q, beta)
     if q**g.n > STATE_BUDGET:
         raise BudgetError(
             f"enumeration needs {q**g.n} states, over budget {STATE_BUDGET}"
@@ -137,10 +129,10 @@ def exact_log_z_psi(
     for cols in _colour_blocks(g.n, q):
         acc = _mono_counts(cols, g.edges)
         ok = np.ones(cols.shape[0], dtype=bool)
-        for i, part in enumerate(parts):
+        for part in parts:
             agree = np.zeros(cols.shape[0], dtype=np.int32)
             for v in part:
-                agree += cols[:, v] == psi[i]
+                agree += cols[:, v] == ground[v]
             ok &= 2 * agree > len(part)
         hist += np.bincount(acc[ok], minlength=g.m + 1)
     return log_sum_exp([math.log(int(c)) + beta * j for j, c in enumerate(hist) if c])
@@ -218,8 +210,7 @@ def exact_log_xi(
     decided definitionally from boundary edge sets) and sums the weight
     products.
     """
-    parts = normalize_parts(g, parts)
-    psi = _validate_ground_state(parts, psi, q, beta)
+    parts, _ = ground_colouring(g, parts, psi, q, beta)
     if g.n // 2 > POLYMER_SIZE_CAP:
         raise BudgetError(
             f"polymers may have up to {g.n // 2} vertices, over cap {POLYMER_SIZE_CAP}"
@@ -273,12 +264,10 @@ def sparse_deviation_log_sum(
     each colouring, the set of vertices disagreeing with the ground state is
     checked for sparseness definitionally.
     """
-    parts = normalize_parts(g, parts)
-    psi = _validate_ground_state(parts, psi, q, beta)
+    parts, ground = ground_colouring(g, parts, psi, q, beta)
     n = g.n
     if q**n > budget:
         raise BudgetError(f"enumeration needs {q**n} states, over budget {budget}")
-    ground = _psi_colours(g, parts, psi)
     acc = OnlineLogSumExp()
     state = [0] * n
     for _ in range(q**n):

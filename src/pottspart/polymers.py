@@ -20,7 +20,7 @@ from typing import Iterable, Sequence
 
 from .budgets import CLUSTER_BUDGET, POLYMER_COUNT_BUDGET
 from .errors import BudgetError, PreconditionError
-from .graphs import Graph, _vertex_tuple, closure_size, connected_sets, mask_of
+from .graphs import Graph, _vertex_tuple, connected_sets, mask_of
 from .util import log_sum_exp
 
 __all__ = [
@@ -30,14 +30,13 @@ __all__ = [
     "TruncatedXi",
     "check_q_beta",
     "normalize_parts",
-    "part_index_of",
+    "ground_colouring",
     "is_small",
     "is_sparse",
     "enumerate_polymers",
     "boundary_edge_set",
     "compatible",
     "restricted_log_partition",
-    "polymer_log_weight",
     "polymer_log_weights",
     "check_weight_bounds",
     "kp_margin",
@@ -104,28 +103,35 @@ def normalize_parts(
     return tuple(norm)
 
 
-def part_index_of(g: Graph, parts: Sequence[Sequence[int]]) -> list[int]:
-    """Map each vertex to the index of its part."""
-    owner = [-1] * g.n
-    for idx, part in enumerate(parts):
-        for v in part:
-            owner[v] = idx
-    return owner
+def ground_colouring(
+    g: Graph,
+    parts: Sequence[Iterable[int]],
+    psi: Sequence[int],
+    q: int | None = None,
+    beta: float = 0.0,
+) -> tuple[tuple[tuple[int, ...], ...], list[int]]:
+    """Validate a ground state; return (normalized parts, colour of each vertex).
 
-
-def _validate_ground_state(
-    parts: Sequence[Sequence[int]], psi: Sequence[int], q: int, beta: float
-):
-    check_q_beta(q, beta, zero_beta_ok=True)
+    Vertex v gets psi[i] for the part i that holds it.  Refuses parts that do
+    not partition V(g) and a psi with one colour too many or too few; when q
+    is given, also a bad q or beta and a colour outside range(q).
+    """
+    parts = normalize_parts(g, parts)
     psi = tuple(psi)
     if len(psi) != len(parts):
         raise PreconditionError(
             f"ground state has {len(psi)} colours for {len(parts)} parts"
         )
-    for c in psi:
-        if not (0 <= c < q):
-            raise PreconditionError(f"ground-state colour {c} outside range(0, {q})")
-    return psi
+    if q is not None:
+        check_q_beta(q, beta, zero_beta_ok=True)
+        for c in psi:
+            if not (0 <= c < q):
+                raise PreconditionError(f"ground-state colour {c} outside range(0, {q})")
+    colour_of = [0] * g.n
+    for part, c in zip(parts, psi):
+        for v in part:
+            colour_of[v] = c
+    return parts, colour_of
 
 
 # ---------------------------------------------------------------------------
@@ -170,15 +176,42 @@ def is_sparse(g: Graph, u: Iterable[int], parts: Sequence[Sequence[int]]) -> boo
 
 @dataclass(frozen=True)
 class Polymer:
-    """A connected small vertex set with cached geometry."""
+    """A connected small vertex set with cached geometry.
+
+    ``internal`` and ``crossing`` list the closure edges (the edges with at
+    least one endpoint inside) once each: an internal edge as a pair (i, j),
+    i < j, of positions in ``vertices``, a crossing edge as (position in
+    ``vertices``, outside vertex).  None of this depends on the ground state.
+    """
 
     vertices: tuple[int, ...]
     mask: int
-    closure_size: int  # number of edges with at least one endpoint inside
     neighbourhood_mask: int  # vertices at distance <= 1
+    internal: tuple[tuple[int, int], ...]
+    crossing: tuple[tuple[int, int], ...]
+
+    @property
+    def closure_size(self) -> int:
+        """Number of edges with at least one endpoint inside."""
+        return len(self.internal) + len(self.crossing)
 
     def __len__(self) -> int:
         return len(self.vertices)
+
+
+def _closure_edges(g: Graph, vs: tuple[int, ...]):
+    """(internal, crossing) closure edges of the sorted set vs, as in Polymer."""
+    local = {v: i for i, v in enumerate(vs)}
+    internal = []
+    crossing = []
+    for i, v in enumerate(vs):
+        for w in g.adj[v]:
+            j = local.get(w)
+            if j is None:
+                crossing.append((i, w))
+            elif j > i:
+                internal.append((i, j))
+    return tuple(internal), tuple(crossing)
 
 
 def enumerate_polymers(
@@ -225,12 +258,14 @@ def enumerate_polymers(
         mask = nbhd = mask_of(g, vs)
         for v in vs:
             nbhd |= adj[v]
+        internal, crossing = _closure_edges(g, vs)
         polymers.append(
             Polymer(
                 vertices=vs,
                 mask=mask,
-                closure_size=closure_size(g, vs),
                 neighbourhood_mask=nbhd,
+                internal=internal,
+                crossing=crossing,
             )
         )
     polymers.sort(key=lambda p: p.vertices)
@@ -263,63 +298,32 @@ def compatible(g: Graph, first, second) -> bool:
 # ---------------------------------------------------------------------------
 
 
-def restricted_log_partition(
-    g: Graph,
-    parts: Sequence[Sequence[int]],
-    psi: Sequence[int],
-    u: Iterable[int],
+def _restricted_log_sum(
+    vs: tuple[int, ...],
+    internal: Sequence[tuple[int, int]],
+    crossing: Sequence[tuple[int, int]],
+    colour_of: Sequence[int],
     q: int,
     beta: float,
-    *,
-    cap: int = POLYMER_SIZE_CAP,
 ) -> float:
-    """log of the boundary-conditioned colouring sum over ``u``.
-
-    Sums, over all colourings of ``u`` that disagree with the ground state
-    pointwise, the weight exp(beta * X) where X counts the edges touching
-    ``u`` that are monochromatic under (colouring inside, ground state
-    outside), plus the edges touching ``u`` whose endpoints already receive
-    distinct ground-state colours.
-    """
-    parts = normalize_parts(g, parts)
-    psi = _validate_ground_state(parts, psi, q, beta)
-    vs = _vertex_tuple(g, u)
-    if not vs:
-        return 0.0
-    if len(vs) > cap:
-        raise BudgetError(f"restricted sum over {len(vs)} vertices exceeds cap {cap}")
+    """log of the restricted colouring sum over vs, from its closure edges."""
+    if len(vs) > POLYMER_SIZE_CAP:
+        raise BudgetError(
+            f"restricted sum over {len(vs)} vertices exceeds cap {POLYMER_SIZE_CAP}"
+        )
     n_terms = (q - 1) ** len(vs)
     if n_terms > RESTRICTED_TERM_BUDGET:
         raise BudgetError(
             f"restricted sum has {n_terms} terms, over budget {RESTRICTED_TERM_BUDGET}"
         )
+    ground = [colour_of[v] for v in vs]
+    outside = [(i, colour_of[w]) for i, w in crossing]  # (position, ground colour)
+    # edges touching vs that are bichromatic under the ground state
+    base = sum(1 for i, j in internal if ground[i] != ground[j])
+    base += sum(1 for i, c in outside if ground[i] != c)
+    allowed = [tuple(c for c in range(q) if c != gc) for gc in ground]
 
-    owner = part_index_of(g, parts)
-    colour_of = [psi[owner[v]] for v in range(g.n)]
-    local = {v: i for i, v in enumerate(vs)}
-    inside = set(vs)
-
-    internal: list[tuple[int, int]] = []  # local index pairs
-    crossing: list[tuple[int, int]] = []  # (local index, outside ground colour)
-    base = 0  # edges touching u that are bichromatic under the ground state
-    for a, b in g.edges:
-        a_in, b_in = a in inside, b in inside
-        if not (a_in or b_in):
-            continue
-        if colour_of[a] != colour_of[b]:
-            base += 1
-        if a_in and b_in:
-            internal.append((local[a], local[b]))
-        elif a_in:
-            crossing.append((local[a], colour_of[b]))
-        else:
-            crossing.append((local[b], colour_of[a]))
-
-    allowed = []
-    for v in vs:
-        allowed.append(tuple(c for c in range(q) if c != colour_of[v]))
-
-    max_x = base + len(internal) + len(crossing)
+    max_x = base + len(internal) + len(outside)
     counts = [0] * (max_x + 1)
     lam = [0] * len(vs)
     for digits in itertools.product(range(q - 1), repeat=len(vs)):
@@ -329,7 +333,7 @@ def restricted_log_partition(
         for ia, ib in internal:
             if lam[ia] == lam[ib]:
                 x += 1
-        for ia, c in crossing:
+        for ia, c in outside:
             if lam[ia] == c:
                 x += 1
         counts[x] += 1
@@ -338,23 +342,27 @@ def restricted_log_partition(
     )
 
 
-def polymer_log_weight(
+def restricted_log_partition(
     g: Graph,
     parts: Sequence[Sequence[int]],
     psi: Sequence[int],
-    gamma,
+    u: Iterable[int],
     q: int,
     beta: float,
 ) -> float:
-    """log w = -beta * |edges touching gamma| + restricted log sum."""
-    if isinstance(gamma, Polymer):
-        vs = gamma.vertices
-        closure = gamma.closure_size
-    else:
-        vs = _vertex_tuple(g, gamma)
-        closure = closure_size(g, vs)
-    log_r = restricted_log_partition(g, parts, psi, vs, q, beta)
-    return -beta * closure + log_r
+    """log of the boundary-conditioned colouring sum over ``u``.
+
+    Sums, over all colourings of ``u`` that disagree with the ground state
+    pointwise, the weight exp(beta * X) where X counts the edges touching
+    ``u`` that are monochromatic under (colouring inside, ground state
+    outside), plus the edges touching ``u`` whose endpoints already receive
+    distinct ground-state colours.
+    """
+    _, colour_of = ground_colouring(g, parts, psi, q, beta)
+    vs = _vertex_tuple(g, u)
+    if not vs:
+        return 0.0
+    return _restricted_log_sum(vs, *_closure_edges(g, vs), colour_of, q, beta)
 
 
 def polymer_log_weights(
@@ -365,8 +373,13 @@ def polymer_log_weights(
     q: int,
     beta: float,
 ) -> list[float]:
-    """Log-weights for a list of polymers under one ground state."""
-    return [polymer_log_weight(g, parts, psi, p, q, beta) for p in polymers]
+    """log w = -beta * |closure edges| + restricted log sum, for each polymer."""
+    _, colour_of = ground_colouring(g, parts, psi, q, beta)
+    return [
+        -beta * p.closure_size
+        + _restricted_log_sum(p.vertices, p.internal, p.crossing, colour_of, q, beta)
+        for p in polymers
+    ]
 
 
 def check_weight_bounds(
@@ -434,7 +447,6 @@ class Cluster:
 
     support: tuple[int, ...]  # polymer indices in search order, root (smallest) first
     multiplicities: tuple[int, ...]
-    total_size: int  # sum of mult * |gamma|
     ursell_num: int
     ursell_den: int
 
@@ -521,7 +533,6 @@ class ClusterExpansion:
 
     def __init__(
         self,
-        g: Graph,
         polymers: Sequence[Polymer],
         max_total_size: int,
         *,
@@ -589,7 +600,6 @@ class ClusterExpansion:
                     Cluster(
                         support=support,
                         multiplicities=tuple(mults),
-                        total_size=base,
                         ursell_num=num,
                         ursell_den=den,
                     )
@@ -613,7 +623,6 @@ class ClusterExpansion:
 
             mult_rec(0)
 
-        clusters.sort(key=lambda c: (c.total_size, c.support, c.multiplicities))
         self.clusters = tuple(clusters)
         max_log_coeff = 0.0
         for cl in self.clusters:
@@ -643,6 +652,7 @@ class ClusterExpansion:
                 # the fsum bit-identical
                 continue
             terms.append((cl.ursell_num / cl.ursell_den) * math.exp(s))
+        # fsum is correctly rounded, so cluster order cannot change the result
         return math.fsum(terms)
 
 
@@ -685,8 +695,7 @@ def truncated_log_xi(
     per-polymer weight bound cannot be verified, since the truncation error
     guarantee would then be unsupported.
     """
-    parts = normalize_parts(g, parts)
-    psi = _validate_ground_state(parts, psi, q, beta)
+    parts, _ = ground_colouring(g, parts, psi, q, beta)
     if not kp_condition_holds(q, g.max_degree, beta, alpha):
         raise PreconditionError(
             "summability condition fails: "
@@ -697,7 +706,7 @@ def truncated_log_xi(
     if model is None:
         model = enumerate_polymers(g, parts, depth)
     if expansion is None:
-        expansion = ClusterExpansion(g, model, depth)
+        expansion = ClusterExpansion(model, depth)
     lws = polymer_log_weights(g, parts, psi, model, q, beta)
     check_weight_bounds(model, lws, q, beta, alpha)
     value = expansion.log_xi(lws)

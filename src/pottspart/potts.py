@@ -42,9 +42,9 @@ from .polymers import (
     boundary_edge_set,
     check_q_beta,
     enumerate_polymers,
+    ground_colouring,
     kp_sufficient_beta,
     normalize_parts,
-    part_index_of,
     truncated_log_xi,
     truncation_depth,
 )
@@ -85,9 +85,7 @@ def ground_state_edges(
     g: Graph, parts: Sequence[Sequence[int]], psi: Sequence[int]
 ) -> int:
     """m_G of the colouring that gives part i the colour psi[i]."""
-    owner = part_index_of(g, parts)
-    colouring = [psi[owner[v]] for v in range(g.n)]
-    return monochromatic_edges(g, colouring)
+    return monochromatic_edges(g, ground_colouring(g, parts, psi)[1])
 
 
 def _psi_of_index(index: int, q: int, ell: int) -> tuple[int, ...]:
@@ -323,7 +321,7 @@ def _approx_core(
     zeta = xi / 2.0
     depth = truncation_depth(n, zeta)
     model = enumerate_polymers(g, parts, depth, budget=budgets.polymers)
-    expansion = ClusterExpansion(g, model, depth, budget=budgets.clusters)
+    expansion = ClusterExpansion(model, depth, budget=budgets.clusters)
     evaluated = []
     log_xi_of: dict[tuple[int, ...], float] = {}  # colour pattern -> log Xi
     for index in range(states):

@@ -246,7 +246,7 @@ def test_criterion_2_truncation_against_exact_polymer_sum(capsys):
                 exact = exact_log_xi(g, parts, psi, q, beta)
                 truncated = None
                 for m in range(1, m_max + 1):
-                    truncated = ClusterExpansion(g, polymers, m).log_xi(weights)
+                    truncated = ClusterExpansion(polymers, m).log_xi(weights)
                     assert abs(truncated - exact) <= g.n * math.exp(-m)
                 # at full depth the tail is far below the reporting tolerance
                 assert abs(truncated - exact) <= 1e-9

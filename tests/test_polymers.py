@@ -13,6 +13,7 @@ from hypothesis import given, settings, strategies as st
 from pottspart.errors import BudgetError, PreconditionError
 from pottspart.graphs import Graph, closure_size, components, induced_subgraph
 from pottspart.oracle import exact_log_xi, min_conductance
+from pottspart import polymers
 from pottspart.polymers import (
     ClusterExpansion,
     Polymer,
@@ -26,7 +27,6 @@ from pottspart.polymers import (
     kp_margin,
     kp_sufficient_beta,
     normalize_parts,
-    polymer_log_weight,
     polymer_log_weights,
     restricted_log_partition,
     truncated_log_xi,
@@ -163,6 +163,18 @@ class TestEnumeratePolymers:
             for v in p.vertices:
                 expected_nbhd |= g.adj_masks[v]
             assert p.neighbourhood_mask == expected_nbhd
+            # closure edges, from a scan of every edge of g
+            pos = {v: i for i, v in enumerate(p.vertices)}
+            internal, crossing = set(), set()
+            for a, b in g.edges:
+                if a in pos and b in pos:
+                    internal.add((pos[a], pos[b]))
+                elif a in pos:
+                    crossing.add((pos[a], b))
+                elif b in pos:
+                    crossing.add((pos[b], a))
+            assert sorted(p.internal) == sorted(internal)
+            assert sorted(p.crossing) == sorted(crossing)
 
     def test_matches_subset_enumeration(self):
         rng = random.Random(11)
@@ -304,19 +316,37 @@ class TestRestrictedSum:
         with pytest.raises(BudgetError, match="terms"):
             restricted_log_partition(g, [range(12)], (0,), u, 30, 1.0)
 
-    def test_size_cap_override(self):
-        g = cycle(12)
+    def test_size_cap(self):
+        # 21 vertices, one more than POLYMER_SIZE_CAP; q=2 keeps the term
+        # count at 1, so only the size cap can refuse
+        g = cycle(42)
         with pytest.raises(BudgetError, match="cap"):
-            restricted_log_partition(
-                g, [range(12)], (0,), [0, 2, 4, 6], 2, 1.0, cap=3
-            )
+            restricted_log_partition(g, [range(42)], (0,), range(0, 42, 2), 2, 1.0)
 
 
 class TestWeights:
     def test_triangle_single_vertex(self):
         g = complete(3)
-        lw = polymer_log_weight(g, [range(3)], (0,), [0], 2, 10.0)
+        (poly,) = [p for p in enumerate_polymers(g, [range(3)], 1) if p.vertices == (0,)]
+        (lw,) = polymer_log_weights(g, [range(3)], (0,), [poly], 2, 10.0)
         assert math.isclose(lw, -20.0, rel_tol=1e-12)
+
+    def test_ground_state_validated_once_per_call(self, monkeypatch):
+        g = cycle(60)
+        parts = [range(30), range(30, 60)]
+        polys = enumerate_polymers(g, parts, max_size=2)
+        assert len(polys) >= 50
+        calls = 0
+        real = polymers.normalize_parts
+
+        def counting(*args, **kwargs):
+            nonlocal calls
+            calls += 1
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(polymers, "normalize_parts", counting)
+        polymer_log_weights(g, parts, (0, 1), polys, 3, 5.0)
+        assert calls <= 1
 
     def test_accepts_polymer_object(self):
         g = complete(3)
@@ -485,7 +515,7 @@ class TestClusterExpansion:
         g = Graph.from_edges([(0, 1)])
         parts = [range(2)]
         polys = enumerate_polymers(g, parts, max_size=1)
-        exp = ClusterExpansion(g, polys, max_total)
+        exp = ClusterExpansion(polys, max_total)
         lws = polymer_log_weights(g, parts, (0,), polys, 2, beta)
         return g, parts, polys, exp, lws
 
@@ -522,7 +552,7 @@ class TestClusterExpansion:
         vals = []
         for _ in range(2):
             polys = enumerate_polymers(g, parts, max_size=4)
-            exp = ClusterExpansion(g, polys, 8)
+            exp = ClusterExpansion(polys, 8)
             lws = polymer_log_weights(g, parts, (0, 1), polys, 2, 54.0)
             vals.append(exp.log_xi(lws))
         assert vals[0] == vals[1]
@@ -531,7 +561,7 @@ class TestClusterExpansion:
         g = cycle(8)
         polys = enumerate_polymers(g, [range(8)], max_size=4)
         with pytest.raises(BudgetError, match="budget"):
-            ClusterExpansion(g, polys, 12, budget=50)
+            ClusterExpansion(polys, 12, budget=50)
 
     def test_weight_length_mismatch(self):
         _, _, _, exp, lws = self._edge_model(6.0, 4)
@@ -553,7 +583,7 @@ class TestClusterExpansion:
         for g, parts, psi, q, beta in cases:
             exact = exact_log_xi(g, parts, psi, q, beta)
             polys = enumerate_polymers(g, parts, max_size=g.n // 2)
-            exp = ClusterExpansion(g, polys, 8)
+            exp = ClusterExpansion(polys, 8)
             lws = polymer_log_weights(g, parts, psi, polys, q, beta)
             assert math.isclose(exp.log_xi(lws), exact, rel_tol=1e-7, abs_tol=1e-9)
 
@@ -561,7 +591,7 @@ class TestClusterExpansion:
         g = triangles_with_bridge()
         parts = [[0, 1, 2], [3, 4, 5]]
         polys = enumerate_polymers(g, parts, max_size=3)
-        exp = ClusterExpansion(g, polys, 8)
+        exp = ClusterExpansion(polys, 8)
         for psi in [(0, 0), (0, 1), (1, 2)]:
             lws = polymer_log_weights(g, parts, psi, polys, 3, 9.0)
             exact = exact_log_xi(g, parts, psi, 3, 9.0)
@@ -610,7 +640,7 @@ class TestTruncatedXi:
         xi = 1e-2
         depth = truncation_depth(6, xi)
         polys = enumerate_polymers(g, parts, max_size=min(depth, 3))
-        exp = ClusterExpansion(g, polys, depth)
+        exp = ClusterExpansion(polys, depth)
         a = truncated_log_xi(g, parts, (0, 0), 3, beta, xi, alpha)
         b = truncated_log_xi(
             g, parts, (0, 0), 3, beta, xi, alpha, model=polys, expansion=exp

@@ -165,6 +165,19 @@ class TestMonochromaticEdges:
         assert ground_state_edges(g, parts, (0, 0)) == 7
         assert ground_state_edges(g, parts, (0, 1)) == 6
 
+    @pytest.mark.parametrize(
+        "parts, psi, match",
+        [
+            ([[0, 1, 2]], (0,), "cover"),
+            ([[0, 1, 2], [2, 3, 4, 5]], (0, 1), "overlaps"),
+            ([[0, 1, 2], [3, 4, 5]], (0,), "1 colours for 2 parts"),
+        ],
+        ids=["uncovered", "overlapping", "short-psi"],
+    )
+    def test_ground_state_edges_refuses_a_bad_ground_state(self, parts, psi, match):
+        with pytest.raises(PreconditionError, match=match):
+            ground_state_edges(cycle(6), parts, psi)
+
 
 class TestCertifiedAlpha:
     def test_bridged_triangles(self):
