@@ -197,10 +197,6 @@ def _sweep_in_part(g: Graph, part: set[int]):
     sub, vs = induced_subgraph(g, sorted(part), allow_isolated=True)
     if sub.m == 0:
         return None
-    if any(d == 0 for d in sub.degrees):
-        # isolated vertex inside the part: a zero-conductance piece exists
-        isolated = min(v for v in range(sub.n) if sub.degrees[v] == 0)
-        return {vs[isolated]}, Fraction(0)
     sc = sweep_cut(sub)
     return {vs[j] for j in sc.vertices}, sc.conductance
 

@@ -16,7 +16,7 @@ keyword ``budgets`` caps the enumerations of one call (:class:`Budgets`).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Sequence
 
@@ -151,15 +151,16 @@ def certified_alpha(
 
 def _coerce_partition(
     g: Graph, partition
-) -> tuple[tuple[tuple[int, ...], ...], float]:
-    """Accept an ExpanderPartition or raw parts; return (parts, alpha)."""
+) -> tuple[tuple[tuple[int, ...], ...], list[float]]:
+    """Accept an ExpanderPartition or raw parts; return (parts, alpha per part)."""
     if isinstance(partition, ExpanderPartition):
-        parts = tuple(tuple(p) for p in partition.parts)
-        normalize_parts(g, parts)
-        bounds = [c.phi_inner_lb for c in partition.certificates]
-        return parts, certified_alpha(g, parts, bounds)
-    parts = normalize_parts(g, partition)
-    return parts, certified_alpha(g, parts)
+        parts = normalize_parts(g, partition.parts)
+        bounds = [(c.phi_inner_lb,) for c in partition.certificates]
+    else:
+        parts = normalize_parts(g, partition)
+        bounds = [None] * len(parts)
+    alphas = [certified_alpha(g, (p,), b) for p, b in zip(parts, bounds, strict=True)]
+    return parts, alphas
 
 
 def required_beta_expander(q: int, max_degree: int, alpha: float) -> float:
@@ -196,7 +197,10 @@ def required_beta_sse(
     k = params.k
     lam = params.lambda_k
     if lam <= 0:
-        raise PreconditionError(f"the {k}-th eigenvalue must be positive")
+        raise PreconditionError(
+            f"the {k}-th eigenvalue must be positive, got {lam}; "
+            "the graph has too many near-components"
+        )
     headline = (
         params.C
         * k**6
@@ -244,25 +248,6 @@ def _check_q_beta_xi(q: int, beta: float, xi: float) -> float:
     if not (math.isfinite(xi) and xi > 0):
         raise PreconditionError(f"accuracy must be positive, got {xi}")
     return min(xi, XI_CAP)
-
-
-def _check_good_parts_beta(
-    g: Graph, q: int, beta: float, alpha: float, eta: float
-) -> None:
-    """Refuse unless the certified alpha and eta put beta above threshold."""
-    if alpha <= 0:
-        raise PreconditionError(
-            "the partition certifies no expansion (a multi-vertex part has "
-            "sweep conductance 0); the polymer weights are unbounded"
-        )
-    if math.isfinite(alpha):
-        need = required_beta_good_parts(q, g.max_degree, alpha, eta)
-        if beta < need:
-            raise PreconditionError(
-                f"beta={beta:.6g} is below the required threshold {need:.6g} "
-                f"for q={q}, max degree {g.max_degree}, alpha={alpha:.6g}, "
-                f"eta={eta:.6g}"
-            )
 
 
 # ---------------------------------------------------------------------------
@@ -415,9 +400,9 @@ def approx_log_z_good_parts(
     degree).  Every part counts toward eta = min |P_i| / n.
     """
     xi = _check_q_beta_xi(q, beta, xi)
-    parts, alpha = _coerce_partition(g, partition)
-    _check_good_parts_beta(g, q, beta, alpha, min(len(p) for p in parts) / g.n)
-    return _approx_core(g, parts, q, beta, xi, alpha, "partition", budgets)
+    parts, alphas = _coerce_partition(g, partition)
+    eta = min(len(p) for p in parts) / g.n
+    return _cut_and_sum(g, parts, alphas, (), eta, q, beta, xi, "partition", budgets)
 
 
 def approx_log_z_with_partition(
@@ -442,63 +427,88 @@ def approx_log_z_with_partition(
     xi = _check_q_beta_xi(q, beta, xi)
     if not (0 < eta <= 1):
         raise PreconditionError(f"eta must be in (0, 1], got {eta}")
-    parts, alpha = _coerce_partition(g, partition)
-    _check_good_parts_beta(g, q, beta, alpha, eta)
+    parts, alphas = _coerce_partition(g, partition)
     # exact comparison: lift the float eta so classification is reproducible
     eta_exact = Fraction(eta)
     bad = [i for i, p in enumerate(parts) if len(p) < eta_exact * g.n]
-    if not bad:
-        return _approx_core(g, parts, q, beta, xi, alpha, "partition", budgets)
+    return _cut_and_sum(g, parts, alphas, bad, eta, q, beta, xi, "partition", budgets)
 
-    s = len(bad)
+
+def _cut_and_sum(
+    g: Graph,
+    parts: tuple[tuple[int, ...], ...],
+    alphas: Sequence[float],
+    bad: Sequence[int],
+    eta: float,
+    q: int,
+    beta: float,
+    xi: float,
+    mode: str,
+    budgets: Budgets,
+) -> PottsResult:
+    """Check beta at eta, cut out the ``bad`` parts and sum the pieces.
+
+    ``alphas`` holds one certified alpha per part; the composition is the
+    one :func:`approx_log_z_with_partition` describes.  Without a bad part
+    the result carries ``mode``; a cut is reported as "partition".
+    """
+    alpha = min(alphas)
+    if alpha <= 0:
+        raise PreconditionError(
+            "the partition certifies no expansion (a multi-vertex part has "
+            "sweep conductance 0); the polymer weights are unbounded"
+        )
+    if math.isfinite(alpha):
+        need = required_beta_good_parts(q, g.max_degree, alpha, eta)
+        if beta < need:
+            raise PreconditionError(
+                f"beta={beta:.6g} is below the required threshold {need:.6g} "
+                f"for q={q}, max degree {g.max_degree}, alpha={alpha:.6g}, "
+                f"eta={eta:.6g}"
+            )
+    if not bad:
+        return _approx_core(g, parts, q, beta, xi, alpha, mode, budgets)
+
     removed: set[tuple[int, int]] = set()
     for i in bad:
         removed |= boundary_edge_set(g, parts[i])
     x_count = len(removed)
 
+    # float additions in a fixed order: beta*X/2, each bad part, the rest
     log_z = beta * x_count / 2.0
-    ground_states = 0
-    depth = 0
-    clusters = 0
+    pieces = []
     for i in bad:
         sub, _ = induced_subgraph(g, parts[i], allow_isolated=True)
         if sub.m == 0:
             # isolated piece after edge removal: contributes q^|P_i| exactly
             log_z += sub.n * math.log(q)
             continue
-        sub_alpha = certified_alpha(sub, (tuple(range(sub.n)),))
-        if sub_alpha <= 0:
-            raise PreconditionError(
-                f"bad part {i} induces a graph with no certified expansion"
-            )
-        res = approx_log_z_expander(
-            sub, q, beta, xi, min(sub_alpha, alpha), budgets=budgets
-        )
-        log_z += res.log_z
-        ground_states += res.ground_states
-        depth = max(depth, res.truncation_depth)
-        clusters += res.clusters_evaluated
+        pieces.append(approx_log_z_expander(sub, q, beta, xi, alpha, budgets=budgets))
+        log_z += pieces[-1].log_z
 
     bad_set = set(bad)
-    good = [p for i, p in enumerate(parts) if i not in bad_set]
+    good = [i for i in range(len(parts)) if i not in bad_set]
     if good:
-        keep = sorted(v for p in good for v in p)
+        keep = sorted(v for i in good for v in parts[i])
         sub, vs = induced_subgraph(g, keep, allow_isolated=True)
         relabel = {v: j for j, v in enumerate(vs)}
-        sub_parts = [tuple(relabel[v] for v in p) for p in good]
-        res = approx_log_z_good_parts(sub, sub_parts, q, beta, xi, budgets=budgets)
+        sub_parts = tuple(tuple(relabel[v] for v in parts[i]) for i in good)
+        # the good rest is this step's no-cut case on G[rest]
+        sub_alphas = [alphas[i] for i in good]
+        sub_eta = min(len(p) for p in sub_parts) / sub.n
+        res = _cut_and_sum(
+            sub, sub_parts, sub_alphas, (), sub_eta, q, beta, xi, "partition", budgets
+        )
         log_z += res.log_z
-        ground_states += res.ground_states
-        depth = max(depth, res.truncation_depth)
-        clusters += res.clusters_evaluated
+        pieces.append(res)
 
     return PottsResult(
         log_z=log_z,
-        eps_bound=(s + 1) * xi + beta * x_count / 2.0,
+        eps_bound=(len(bad) + 1) * xi + beta * x_count / 2.0,
         mode="partition",
-        ground_states=ground_states,
-        truncation_depth=depth,
-        clusters_evaluated=clusters,
+        ground_states=sum(r.ground_states for r in pieces),
+        truncation_depth=max((r.truncation_depth for r in pieces), default=0),
+        clusters_evaluated=sum(r.clusters_evaluated for r in pieces),
         per_psi=(),
     )
 
@@ -518,16 +528,13 @@ def approx_log_z_sse(
     Requires lambda_k > 0 and beta at or above the stated threshold.  The
     graph is partitioned into at most k-1 expander parts; when every part
     has at least n/k vertices the good-parts pipeline gives a relative
-    eps-approximation, otherwise the with-partition composition runs and
-    the (weaker) bound it reports is returned.
+    eps-approximation.  Otherwise exactly the parts with |P_i| * k < n (an
+    integer test, so a part of n/k vertices stays good) are cut out, beta
+    is checked at eta = 1/k, and the (weaker) with-partition bound is
+    returned.
     """
     eps = _check_q_beta_xi(q, beta, eps)
     params = PartitionParams.from_graph(g, k, C)
-    if params.lambda_k <= 0:
-        raise PreconditionError(
-            f"the {k}-th eigenvalue must be positive, got {params.lambda_k}; "
-            "the graph has too many near-components"
-        )
     delta = min(g.degrees)
     need = required_beta_sse(params, q, g.max_degree, delta)
     if beta < need:
@@ -536,13 +543,7 @@ def approx_log_z_sse(
             f"for k={k}, q={q}, max degree {g.max_degree}, "
             f"lambda_k={params.lambda_k:.6g}, min degree {delta}"
         )
-    part = partition_into_expanders(g, params)
-    bad = [i for i, p in enumerate(part.parts) if len(p) * k < g.n]
-    if bad:
-        return approx_log_z_with_partition(
-            g, part, q, beta, eps, 1.0 / k, budgets=budgets
-        )
-    res = approx_log_z_good_parts(g, part, q, beta, eps, budgets=budgets)
-    if res.mode == "partition":
-        res = replace(res, mode="sse")
-    return res
+    parts, alphas = _coerce_partition(g, partition_into_expanders(g, params))
+    bad = [i for i, p in enumerate(parts) if len(p) * k < g.n]
+    eta = 1.0 / k if bad else min(len(p) for p in parts) / g.n
+    return _cut_and_sum(g, parts, alphas, bad, eta, q, beta, eps, "sse", budgets)

@@ -170,6 +170,16 @@ class TestPhiAfterVertexRemoval:
             phi_after_vertex_removal(g, [0, 0, 1, 2], 1)
 
 
+class TestSweepInPart:
+    def test_isolated_vertex_is_the_zero_conductance_piece(self):
+        # inside {0, 1, 3, 5} of a path, 3 and 5 have no neighbour: the
+        # lowest of them is the component of least volume, at conductance 0
+        g = path(7)
+        sweep = partition_module._sweep_in_part
+        assert sweep(g, {0, 1, 3, 5}) == ({3}, Fraction(0))
+        assert sweep(g, {0, 1, 4}) == ({4}, Fraction(0))
+
+
 class TestStrongestAttachment:
     def test_tie_break_own_part_and_no_other_part(self):
         g = path(4)  # 0-1-2-3

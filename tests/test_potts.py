@@ -26,6 +26,7 @@ from pottspart.graphs import (
     boundary_size,
     components,
     induced_subgraph,
+    set_conductance,
 )
 from pottspart.oracle import (
     exact_log_xi,
@@ -37,6 +38,9 @@ from pottspart.partition import (
     ExpanderPartition,
     PartCertificate,
     PartitionParams,
+    _inner_lower_bound,
+    _min_degree_ratio,
+    _sweep_in_part,
     partition_into_expanders,
 )
 from pottspart.polymers import (
@@ -108,6 +112,30 @@ def _brute_part_expansion(g: Graph, part) -> Fraction:
             if best is None or ratio < best:
                 best = ratio
     return best
+
+
+def _swept_partition(g: Graph, parts) -> ExpanderPartition:
+    """ExpanderPartition of ``parts`` with certificates from per-part sweeps."""
+    certificates = []
+    for p in parts:
+        sw = _sweep_in_part(g, set(p))
+        phi = Fraction(1) if sw is None else sw[1]  # a single vertex has no cut
+        certificates.append(
+            PartCertificate(
+                sweep_conductance=phi,
+                phi_inner_lb=_inner_lower_bound(phi),
+                phi_outer=set_conductance(g, p),
+                min_degree_ratio=_min_degree_ratio(g, p),
+            )
+        )
+    parts = tuple(tuple(p) for p in parts)
+    return ExpanderPartition(
+        parts=parts,
+        cores=parts,
+        ell=len(parts),
+        certificates=tuple(certificates),
+        iterations={},
+    )
 
 
 class TestQBetaCheck:
@@ -595,6 +623,52 @@ class TestWithPartitionPipeline:
                 g, [[0, 1, 2], list(range(3, 11))], 2, 40.0, 0.01, 0.5
             )
 
+    def test_each_part_is_swept_once(self, monkeypatch):
+        # two bridged K5's plus a pendant triangle; at eta = 0.3 the triangle
+        # is cut out, and neither it nor the rest is certified a second time
+        g = Graph.from_edges(
+            list(clique_chain(2, 5, 1).edges)
+            + [(10, 11), (10, 12), (11, 12), (9, 10)]
+        )
+        parts = [list(range(5)), list(range(5, 10)), [10, 11, 12]]
+        need = required_beta_good_parts(3, g.max_degree, certified_alpha(g, parts), 0.3)
+        swept = []
+        sweep = potts._sweep_in_part
+
+        def counting_sweep(g_, part):
+            swept.append(frozenset(part))
+            return sweep(g_, part)
+
+        monkeypatch.setattr(potts, "_sweep_in_part", counting_sweep)
+        res = approx_log_z_with_partition(g, parts, 3, 1.1 * need, 0.25, 0.3)
+        assert res.eps_bound == pytest.approx(2 * 0.25 + 1.1 * need / 2)
+        assert sorted(swept, key=min) == [frozenset(p) for p in parts]
+
+    def test_pieces_are_added_in_part_order(self):
+        # bad parts: a triangle (expander pipeline) and then the edgeless
+        # vertex 3 (q^1 exactly); the K_6 rest takes the good-parts pipeline
+        g = Graph.from_edges(
+            clique_edges(range(3))
+            + clique_edges(range(4, 10))
+            + [(2, 3), (3, 4), (0, 4)]
+        )
+        parts = [[0, 1, 2], [3], list(range(4, 10))]
+        alpha = certified_alpha(g, parts)
+        beta, xi = 100.0, 0.05
+        assert beta >= required_beta_good_parts(2, g.max_degree, alpha, 0.4)
+        res = approx_log_z_with_partition(g, parts, 2, beta, xi, 0.4)
+        triangle, _ = induced_subgraph(g, parts[0], allow_isolated=True)
+        rest, _ = induced_subgraph(g, parts[2], allow_isolated=True)
+        expected = beta * 3 / 2.0  # X = 3 removed edges
+        expected += approx_log_z_expander(triangle, 2, beta, xi, alpha).log_z
+        expected += math.log(2)
+        good = approx_log_z_good_parts(rest, [range(6)], 2, beta, xi)
+        expected += good.log_z
+        assert good.mode == "partition"  # the rest runs the expansion
+        assert res.log_z == expected
+        assert res.eps_bound == pytest.approx(3 * xi + beta * 3 / 2)
+        assert abs(res.log_z - exact_log_z(g, 2, beta)) <= res.eps_bound
+
 
 class TestSsePipeline:
     def test_complete_graph_single_part(self):
@@ -619,8 +693,15 @@ class TestSsePipeline:
             approx_log_z_sse(complete(8), 2, 2, 1.0, 0.1)
 
     def test_disconnected_graph_is_refused(self):
-        with pytest.raises(PreconditionError, match="eigenvalue"):
-            approx_log_z_sse(two_triangles(), 2, 2, 1e9, 0.1)
+        g = two_triangles()
+        match = (
+            "the 2-th eigenvalue must be positive, got 0.0; "
+            "the graph has too many near-components"
+        )
+        with pytest.raises(PreconditionError, match=match):
+            approx_log_z_sse(g, 2, 2, 1e9, 0.1)
+        with pytest.raises(PreconditionError, match=match):
+            required_beta_sse(PartitionParams.from_graph(g, 2), 2, 2, 2)
 
     def test_bad_model_is_refused_before_the_spectrum(self, monkeypatch):
         import pottspart.partition as partition_module
@@ -684,6 +765,30 @@ class TestSsePipeline:
             + exact_log_z(complete(8), 2, beta)
         )
         assert res.log_z == pytest.approx(expected, abs=1e-6)
+        assert abs(res.log_z - exact_log_z(g, 2, beta)) <= res.eps_bound
+
+    def test_part_of_exactly_n_over_k_is_kept(self, monkeypatch):
+        # n = 15, k = 5: only the pendant vertex 0 has |P| * k < n.  The two
+        # triangles have exactly n/k vertices and stay in the good rest,
+        # although the float 1/5 lies above 1/5.
+        g = Graph.from_edges(
+            [(0, 1)]
+            + clique_edges(range(1, 4))
+            + clique_edges(range(4, 7))
+            + clique_edges(range(7, 15))
+            + [(3, 4), (6, 7)]
+        )
+        parts = [(0,), (1, 2, 3), (4, 5, 6), tuple(range(7, 15))]
+        injected = _swept_partition(g, parts)
+        monkeypatch.setattr(potts, "partition_into_expanders", lambda g_, p_: injected)
+        need = max(
+            required_beta_sse(PartitionParams.from_graph(g, 5), 2, g.max_degree, 1),
+            required_beta_good_parts(2, g.max_degree, certified_alpha(g, parts), 0.2),
+        )
+        beta = need * 1.01
+        res = approx_log_z_sse(g, 5, 2, beta, 0.25)
+        assert res.mode == "partition"
+        assert res.eps_bound == pytest.approx(2 * 0.25 + beta / 2)  # X = 1
         assert abs(res.log_z - exact_log_z(g, 2, beta)) <= res.eps_bound
 
 
