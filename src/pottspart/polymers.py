@@ -524,11 +524,14 @@ def _signed_connected_sum(mults: tuple[int, ...], pair_adj: int) -> int:
 
 
 class ClusterExpansion:
-    """All clusters of bounded total size over a fixed polymer list.
+    """One truncation of a polymer model: its polymers, depth and clusters.
 
-    The cluster structure (supports, multiplicities, coefficients) depends
-    only on polymer geometry, so one instance can be evaluated under many
-    ground states by supplying fresh log-weights.
+    ``clusters`` holds every cluster of total size at most
+    ``max_total_size`` over ``polymers`` whose Ursell coefficient is
+    nonzero, in support search order.  The structure depends only on
+    polymer geometry, so one instance can be evaluated under many ground
+    states by supplying fresh log-weights.  ``budget`` caps the clusters
+    kept, the number :attr:`cluster_count` reports.
     """
 
     def __init__(
@@ -549,24 +552,14 @@ class ClusterExpansion:
                 if pi.neighbourhood_mask & pj.mask:
                     inc[i] |= 1 << j
                     inc[j] |= 1 << i
-        self._sizes = tuple(sizes)
 
-        # supports: the connected sets of the incompatibility graph
-        supports: list[tuple[int, ...]] = []
-        count = 0
-        for support in connected_sets(inc, sizes, max_total_size):
-            count += 1
-            if count > budget:
-                raise BudgetError(
-                    f"cluster enumeration exceeded budget {budget}; "
-                    "request a looser accuracy or a smaller instance"
-                )
-            supports.append(support)
-
-        ursell_cache: dict[tuple[tuple[int, ...], int], int] = {}
+        # (multiplicities, pair_adj) -> (Ursell numerator, denominator)
+        ursell_cache: dict[tuple[tuple[int, ...], int], tuple[int, int]] = {}
         clusters: list[Cluster] = []
+        max_log_coeff = 0.0
 
-        for support in supports:
+        # supports are the connected sets of the incompatibility graph
+        for support in connected_sets(inc, sizes, max_total_size):
             k = len(support)
             pair_adj = 0
             bit = 0
@@ -579,31 +572,26 @@ class ClusterExpansion:
             mults = [1] * k
 
             def emit():
-                nonlocal count
-                count += 1
-                if count > budget:
+                nonlocal max_log_coeff
+                key = (tuple(mults), pair_adj)
+                coeff = ursell_cache.get(key)
+                if coeff is None:
+                    num = _signed_connected_sum(*key)
+                    den = 1
+                    for m in mults:
+                        den *= math.factorial(m)
+                    coeff = ursell_cache[key] = (num, den)
+                    if num:
+                        mag = math.log(abs(num)) - math.log(den)
+                        max_log_coeff = max(max_log_coeff, mag)
+                if coeff[0] == 0:
+                    return
+                if len(clusters) == budget:
                     raise BudgetError(
                         f"cluster enumeration exceeded budget {budget}; "
                         "request a looser accuracy or a smaller instance"
                     )
-                key = (tuple(mults), pair_adj)
-                num = ursell_cache.get(key)
-                if num is None:
-                    num = _signed_connected_sum(*key)
-                    ursell_cache[key] = num
-                if num == 0:
-                    return
-                den = 1
-                for m in mults:
-                    den *= math.factorial(m)
-                clusters.append(
-                    Cluster(
-                        support=support,
-                        multiplicities=tuple(mults),
-                        ursell_num=num,
-                        ursell_den=den,
-                    )
-                )
+                clusters.append(Cluster(support, key[0], *coeff))
 
             # enumerate multiplicity vectors >= 1 with total size bounded
             def mult_rec(pos: int):
@@ -624,11 +612,6 @@ class ClusterExpansion:
             mult_rec(0)
 
         self.clusters = tuple(clusters)
-        max_log_coeff = 0.0
-        for cl in self.clusters:
-            mag = math.log(abs(cl.ursell_num)) - math.log(cl.ursell_den)
-            if mag > max_log_coeff:
-                max_log_coeff = mag
         self._prune_log = _EXP_ZERO_LOG - max_log_coeff
 
     @property
@@ -663,8 +646,10 @@ class ClusterExpansion:
 
 def truncation_depth(n: int, xi: float) -> int:
     """Depth at which the cluster tail drops below xi/2."""
-    if xi <= 0:
+    if not xi > 0:
         raise PreconditionError(f"xi must be positive, got {xi}")
+    if math.isinf(xi):
+        raise PreconditionError(f"xi must be finite, got {xi}")
     return max(1, math.ceil(math.log(2 * n / xi)))
 
 
@@ -686,16 +671,18 @@ def truncated_log_xi(
     xi: float,
     alpha: float,
     *,
-    model: Sequence[Polymer] | None = None,
     expansion: ClusterExpansion | None = None,
 ) -> TruncatedXi:
     """Relative xi-approximation to the polymer partition function.
 
-    Refuses (rather than answering) when the summability condition or the
-    per-polymer weight bound cannot be verified, since the truncation error
-    guarantee would then be unsupported.
+    Evaluates ``expansion`` under the ground state psi: its polymers are the
+    model and its ``max_total_size`` is the reported depth.  Without one,
+    the expansion is built at :func:`truncation_depth` (n, xi); a supplied
+    expansion shallower than that depth is refused.  Refuses too (rather
+    than answering) when the summability condition or the per-polymer
+    weight bound cannot be verified, since the truncation error guarantee
+    would then be unsupported.
     """
-    parts, _ = ground_colouring(g, parts, psi, q, beta)
     if not kp_condition_holds(q, g.max_degree, beta, alpha):
         raise PreconditionError(
             "summability condition fails: "
@@ -703,17 +690,20 @@ def truncated_log_xi(
             f"{kp_sufficient_beta(q, g.max_degree, alpha):.6g}"
         )
     depth = truncation_depth(g.n, xi)
-    if model is None:
-        model = enumerate_polymers(g, parts, depth)
     if expansion is None:
-        expansion = ClusterExpansion(model, depth)
+        expansion = ClusterExpansion(enumerate_polymers(g, parts, depth), depth)
+    elif expansion.max_total_size < depth:
+        raise PreconditionError(
+            f"the expansion has depth {expansion.max_total_size}; xi={xi:.6g} "
+            f"on {g.n} vertices needs depth {depth}"
+        )
+    model = expansion.polymers
     lws = polymer_log_weights(g, parts, psi, model, q, beta)
     check_weight_bounds(model, lws, q, beta, alpha)
-    value = expansion.log_xi(lws)
     return TruncatedXi(
-        log_xi=value,
+        log_xi=expansion.log_xi(lws),
         eps_bound=xi,
-        depth=depth,
+        depth=expansion.max_total_size,
         cluster_count=expansion.cluster_count,
         polymer_count=len(model),
     )

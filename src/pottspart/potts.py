@@ -271,16 +271,19 @@ def _approx_core(
     caller.  When xi <= e^(-n/2) the exact oracle is cheaper than the
     expansion and is used instead (the result is then exact).
 
-    log Xi^psi is evaluated once per colour pattern (:func:`_colour_pattern`),
-    at the first psi of each pattern in index order, and copied to the rest.
-    The copy is bit-exact; for a colour permutation s:
+    m_G(psi) and log Xi^psi are evaluated once per colour pattern
+    (:func:`_colour_pattern`), at the first psi of each pattern in index
+    order, and copied to the rest.  The copy is bit-exact; for a colour
+    permutation s:
 
-    1. lambda -> s.lambda maps the colourings allowed under psi onto those
+    1. s keeps which parts share a colour, so m_G(s.psi) = m_G(psi), an
+       integer;
+    2. lambda -> s.lambda maps the colourings allowed under psi onto those
        allowed under s.psi and keeps X, so each restricted sum has the same
        integer histogram and hence the same float;
-    2. closure sizes do not depend on psi, so the log-weights, the
+    3. closure sizes do not depend on psi, so the log-weights, the
        weight-bound check and log Xi are bitwise equal across the orbit;
-    3. an orbit breaks the weight bound in all of its members or in none, so
+    4. an orbit breaks the weight bound in all of its members or in none, so
        the first violating psi is an evaluated one and every refusal is
        unchanged.
     """
@@ -308,16 +311,18 @@ def _approx_core(
     model = enumerate_polymers(g, parts, depth, budget=budgets.polymers)
     expansion = ClusterExpansion(model, depth, budget=budgets.clusters)
     evaluated = []
-    log_xi_of: dict[tuple[int, ...], float] = {}  # colour pattern -> log Xi
+    of_pattern: dict[tuple[int, ...], tuple[int, float]] = {}  # -> (m, log Xi)
     for index in range(states):
         psi = _psi_of_index(index, q, ell)
-        m_psi = ground_state_edges(g, parts, psi)
         pattern = _colour_pattern(psi)
-        if pattern not in log_xi_of:
-            log_xi_of[pattern] = truncated_log_xi(
-                g, parts, psi, q, beta, zeta, alpha, model=model, expansion=expansion
-            ).log_xi
-        evaluated.append((psi, m_psi, log_xi_of[pattern]))
+        if pattern not in of_pattern:
+            of_pattern[pattern] = (
+                ground_state_edges(g, parts, psi),
+                truncated_log_xi(
+                    g, parts, psi, q, beta, zeta, alpha, expansion=expansion
+                ).log_xi,
+            )
+        evaluated.append((psi, *of_pattern[pattern]))
 
     log_z = log_sum_exp(beta * m + lx for _, m, lx in evaluated)
     per_psi = tuple(

@@ -201,6 +201,19 @@ class TestBudgetFlags:
         assert main(argv) == 0
         assert capsys.readouterr().out == unbudgeted
 
+    def test_cluster_budget_counts_the_clusters_reported(
+        self, bridged_triangles_file, capsys
+    ):
+        argv = ["potts", *GOOD_PARTS_ARGS, bridged_triangles_file]
+        assert main(argv) == 0
+        unbudgeted = capsys.readouterr().out
+        clusters = json.loads(unbudgeted)["clustersEvaluated"]
+        assert clusters > 0
+        assert main([*argv, "--budget-clusters", str(clusters)]) == 0
+        assert capsys.readouterr().out == unbudgeted
+        assert main([*argv, "--budget-clusters", str(clusters - 1)]) == 3
+        assert f"budget {clusters - 1}" in capsys.readouterr().err
+
     def test_budget_below_one_exits_1(self, bridged_triangles_file, capsys):
         argv = ["potts", *GOOD_PARTS_ARGS, bridged_triangles_file]
         assert main([*argv, "--budget-clusters", "0"]) == 1

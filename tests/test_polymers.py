@@ -14,6 +14,7 @@ from pottspart.errors import BudgetError, PreconditionError
 from pottspart.graphs import Graph, closure_size, components, induced_subgraph
 from pottspart.oracle import exact_log_xi, min_conductance
 from pottspart import polymers
+from pottspart.generate import clique_chain
 from pottspart.polymers import (
     ClusterExpansion,
     Polymer,
@@ -563,6 +564,17 @@ class TestClusterExpansion:
         with pytest.raises(BudgetError, match="budget"):
             ClusterExpansion(polys, 12, budget=50)
 
+    def test_budget_counts_clusters_kept(self):
+        # 11 polymers, 1371 clusters at depth 6; the budget is the number of
+        # clusters kept, as cluster_count reports it, not a support count
+        g = clique_chain(3, 3, 1)
+        polys = enumerate_polymers(g, [range(3), range(3, 6), range(6, 9)], 6)
+        count = ClusterExpansion(polys, 6).cluster_count
+        assert count == 1371
+        assert ClusterExpansion(polys, 6, budget=count).cluster_count == count
+        with pytest.raises(BudgetError, match=f"budget {count - 1}"):
+            ClusterExpansion(polys, 6, budget=count - 1)
+
     def test_weight_length_mismatch(self):
         _, _, _, exp, lws = self._edge_model(6.0, 4)
         with pytest.raises(PreconditionError, match="log-weights"):
@@ -602,8 +614,9 @@ class TestTruncatedXi:
     def test_depth_formula(self):
         assert truncation_depth(2, 1.0) == max(1, math.ceil(math.log(4)))
         assert truncation_depth(10, 0.01) == math.ceil(math.log(2000))
-        with pytest.raises(PreconditionError):
-            truncation_depth(5, 0.0)
+        for xi in (0.0, math.nan, math.inf):
+            with pytest.raises(PreconditionError, match="xi must be"):
+                truncation_depth(5, xi)
 
     def test_within_tolerance_of_exact(self):
         g = triangles_with_bridge()
@@ -632,7 +645,7 @@ class TestTruncatedXi:
         with pytest.raises(PreconditionError, match="weight bound"):
             truncated_log_xi(g, parts, (0, 1), 2, 54.0, 1e-3, 5.0)
 
-    def test_reuses_supplied_model(self):
+    def test_reuses_supplied_expansion(self):
         g = cycle(6)
         parts = [[0, 1, 2], [3, 4, 5]]
         alpha = float(min_conductance(g)[0])
@@ -640,9 +653,27 @@ class TestTruncatedXi:
         xi = 1e-2
         depth = truncation_depth(6, xi)
         polys = enumerate_polymers(g, parts, max_size=min(depth, 3))
-        exp = ClusterExpansion(polys, depth)
         a = truncated_log_xi(g, parts, (0, 0), 3, beta, xi, alpha)
         b = truncated_log_xi(
-            g, parts, (0, 0), 3, beta, xi, alpha, model=polys, expansion=exp
+            g, parts, (0, 0), 3, beta, xi, alpha,
+            expansion=ClusterExpansion(polys, depth),
         )
         assert a.log_xi == b.log_xi
+        # a deeper expansion is evaluated as given, at its own depth
+        exp = ClusterExpansion(polys, depth + 1)
+        c = truncated_log_xi(g, parts, (0, 0), 3, beta, xi, alpha, expansion=exp)
+        lws = polymer_log_weights(g, parts, (0, 0), polys, 3, beta)
+        assert c.log_xi == exp.log_xi(lws)
+        assert c.depth == exp.max_total_size == depth + 1
+        assert c.cluster_count == exp.cluster_count > b.cluster_count
+        assert c.polymer_count == len(polys)
+
+    def test_refuses_a_shallower_expansion(self):
+        # depth 1 where xi = 1e-3 on 6 vertices needs depth 10
+        g = triangles_with_bridge()
+        parts = [[0, 1, 2], [3, 4, 5]]
+        alpha = float(min_conductance(g)[0])
+        beta = kp_sufficient_beta(2, g.max_degree, alpha) + 1.0
+        exp = ClusterExpansion(enumerate_polymers(g, parts, 1), 1)
+        with pytest.raises(PreconditionError, match="depth 1; .* needs depth 10"):
+            truncated_log_xi(g, parts, (0, 1), 2, beta, 1e-3, alpha, expansion=exp)

@@ -54,7 +54,7 @@ from pottspart.polymers import (
     truncated_log_xi,
     truncation_depth,
 )
-from pottspart import potts
+from pottspart import polymers, potts
 from pottspart.generate import clique_chain
 from pottspart.potts import (
     GROUND_STATE_CAP,
@@ -472,16 +472,15 @@ class TestColourPatternReuse:
     """log Xi is evaluated once per colour-permutation orbit of ground states."""
 
     @staticmethod
-    def _count_evaluations(monkeypatch):
-        calls = []
-        inner = potts.truncated_log_xi
+    def _record_calls(monkeypatch, module, name, calls):
+        """Append the positional arguments of each call of module.name to calls."""
+        inner = getattr(module, name)
 
         def counted(*args, **kwargs):
-            calls.append(args[2])
+            calls.append(args)
             return inner(*args, **kwargs)
 
-        monkeypatch.setattr(potts, "truncated_log_xi", counted)
-        return calls
+        monkeypatch.setattr(module, name, counted)
 
     @pytest.mark.parametrize(
         "g, parts, q",
@@ -515,18 +514,36 @@ class TestColourPatternReuse:
         g = clique_chain(t, 3, 1)
         parts = [list(range(3 * i, 3 * i + 3)) for i in range(t)]
         _, beta = _good_parts_instance(g, parts, 3)
-        calls = self._count_evaluations(monkeypatch)
+        calls, edge_counts = [], []
+        self._record_calls(monkeypatch, potts, "truncated_log_xi", calls)
+        self._record_calls(monkeypatch, potts, "ground_state_edges", edge_counts)
         res = approx_log_z_good_parts(g, parts, 3, beta, 0.1)
         assert res.ground_states == 3**t
         assert len(calls) == evaluations
-        assert len({potts._colour_pattern(psi) for psi in calls}) == evaluations
+        assert len({potts._colour_pattern(args[2]) for args in calls}) == evaluations
+        assert len(edge_counts) == evaluations
+
+    def test_parts_are_validated_once_per_pattern(self, monkeypatch):
+        # the ground-states benchmark's clique-chain(4,4,1) q=3 request: one
+        # validation to certify the parts, one to enumerate the polymers and
+        # two for each of the 14 patterns (m_G and the weight pass)
+        g = clique_chain(4, 4, 1)
+        parts = [list(range(4 * i, 4 * i + 4)) for i in range(4)]
+        _, beta = _good_parts_instance(g, parts, 3)
+        calls = []
+        for module in (polymers, potts):
+            self._record_calls(monkeypatch, module, "normalize_parts", calls)
+        res = approx_log_z_good_parts(g, parts, 3, beta, 0.1)
+        assert res.ground_states == 81
+        assert len(calls) <= 30
 
     def test_expander_evaluates_one_state(self, monkeypatch):
-        calls = self._count_evaluations(monkeypatch)
+        calls = []
+        self._record_calls(monkeypatch, potts, "truncated_log_xi", calls)
         res = approx_log_z_expander(cycle(12), 2, 21.0, 0.01, 1.0 / 3.0)
         assert res.mode == "expander"
         assert res.ground_states == 2
-        assert calls == [(0,)]
+        assert [args[2] for args in calls] == [(0,)]
         assert res.per_psi[0]["logXi"] == res.per_psi[1]["logXi"]
 
 
