@@ -211,19 +211,7 @@ def cross_edges_mask(g: Graph, s_mask: int, t_mask: int) -> int:
 
 def boundary_size(g: Graph, s: VertexSet) -> int:
     """Number of edges with exactly one endpoint in s."""
-    s_mask = mask_of(g, s)
-    return boundary_size_mask(g, s_mask)
-
-
-def boundary_size_mask(g: Graph, s_mask: int) -> int:
-    count = 0
-    mk = s_mask
-    while mk:
-        low = mk & -mk
-        v = low.bit_length() - 1
-        mk ^= low
-        count += (g.adj_masks[v] & ~s_mask).bit_count()
-    return count
+    return cross_edges_mask(g, mask_of(g, s), (1 << g.n) - 1)
 
 
 def closure_size(g: Graph, s: VertexSet) -> int:

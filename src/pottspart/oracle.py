@@ -33,7 +33,7 @@ from .polymers import (
     normalize_parts,
     polymer_log_weights,
 )
-from .util import OnlineLogSumExp, as_fraction, log_sum_exp
+from .util import OnlineLogSumExp, as_fraction, log_count_sum, log_sum_exp
 
 __all__ = [
     "STATE_BUDGET",
@@ -80,9 +80,7 @@ def _log_z_component(n: int, edges: Sequence[tuple[int, int]], q: int, beta: flo
     for cols in _colour_blocks(n, q):
         acc = _mono_counts(cols, edges)
         hist += np.bincount(acc, minlength=len(edges) + 1)
-    return log_sum_exp(
-        [math.log(int(c)) + beta * j for j, c in enumerate(hist) if c]
-    )
+    return log_count_sum(hist.tolist(), beta)
 
 
 def exact_log_z(
@@ -135,7 +133,7 @@ def exact_log_z_psi(
                 agree += cols[:, v] == ground[v]
             ok &= 2 * agree > len(part)
         hist += np.bincount(acc[ok], minlength=g.m + 1)
-    return log_sum_exp([math.log(int(c)) + beta * j for j, c in enumerate(hist) if c])
+    return log_count_sum(hist.tolist(), beta)
 
 
 def exact_log_z_star(
@@ -176,15 +174,11 @@ def exact_log_z_star(
             scale *= q
         combined = psi_idx[ok] * width + acc[ok]
         hist += np.bincount(combined, minlength=len(hist))
-    per_psi = []
-    for w in range(q**ell):
-        terms = [
-            math.log(int(c)) + beta * j
-            for j, c in enumerate(hist[w * width : (w + 1) * width])
-            if c
-        ]
-        if terms:
-            per_psi.append(log_sum_exp(terms))
+    # an empty slice gives -inf, which adds exactly 0.0 to the re-sum
+    per_psi = [
+        log_count_sum(hist[w * width : (w + 1) * width].tolist(), beta)
+        for w in range(q**ell)
+    ]
     total = log_sum_exp(
         [math.log(int(c)) + beta * (j % width) for j, c in enumerate(hist) if c]
     )

@@ -20,7 +20,6 @@ from .graphs import (
     SUBSET_ENUM_MAX_N,
     Graph,
     _vertex_tuple,
-    boundary_size_mask,
     cross_edges,
     cross_edges_mask,
     induced_subgraph,
@@ -158,7 +157,7 @@ def phi_after_vertex_removal(g: Graph, b: Iterable[int], u: int) -> Fraction:
         )
     b_mask = mask_of(g, bs)
     d_b = (g.adj_masks[u] & b_mask).bit_count()
-    phi_b = Fraction(boundary_size_mask(g, b_mask), vol_b)
+    phi_b = Fraction(cross_edges_mask(g, b_mask, (1 << g.n) - 1), vol_b)
     return (
         Fraction(vol_b, vol_b - d_v) * phi_b
         - Fraction(d_v - 2 * d_b, vol_b - d_v)
@@ -259,21 +258,15 @@ def partition_into_expanders(
     cores: list[set[int]] = [set(range(n))]
     if _resume is not None:
         parts_in, cores_in = _resume
-        parts = [set(p) for p in parts_in]
+        parts = [set(p) for p in normalize_parts(g, parts_in)]
         cores = [set(c) for c in cores_in]
         if len(parts) != len(cores):
             raise PreconditionError("resume state needs one core per part")
-        covered: set[int] = set()
         for idx, (p, c) in enumerate(zip(parts, cores)):
             if not c or not c <= p:
                 raise PreconditionError(
                     f"resume core {idx} must be a nonempty subset of its part"
                 )
-            if p & covered:
-                raise PreconditionError(f"resume part {idx} overlaps another")
-            covered |= p
-        if covered != set(range(n)):
-            raise PreconditionError("resume parts must cover every vertex")
     counters = {
         "main": 0,
         "coreSplit": 0,

@@ -21,7 +21,7 @@ from typing import Iterable, Sequence
 from .budgets import CLUSTER_BUDGET, POLYMER_COUNT_BUDGET
 from .errors import BudgetError, PreconditionError
 from .graphs import Graph, _vertex_tuple, connected_sets, mask_of
-from .util import log_sum_exp
+from .util import log_count_sum
 
 __all__ = [
     "Polymer",
@@ -53,6 +53,11 @@ RESTRICTED_TERM_BUDGET = 50_000_000
 # exp(x) is exactly 0.0 below this, so pruning such cluster terms from an
 # fsum is bit-identical to summing them.
 _EXP_ZERO_LOG = -746.0
+
+# Absolute slack of the comparison in check_weight_bounds.  It does not scale
+# with beta, although log w = -beta * closure + log r cancels terms of that
+# size.
+_WEIGHT_BOUND_TOL = 1e-9
 
 
 # ---------------------------------------------------------------------------
@@ -107,14 +112,14 @@ def ground_colouring(
     g: Graph,
     parts: Sequence[Iterable[int]],
     psi: Sequence[int],
-    q: int | None = None,
-    beta: float = 0.0,
+    q: int,
+    beta: float,
 ) -> tuple[tuple[tuple[int, ...], ...], list[int]]:
     """Validate a ground state; return (normalized parts, colour of each vertex).
 
     Vertex v gets psi[i] for the part i that holds it.  Refuses parts that do
-    not partition V(g) and a psi with one colour too many or too few; when q
-    is given, also a bad q or beta and a colour outside range(q).
+    not partition V(g), a psi with one colour too many or too few, a bad q or
+    beta and a colour outside range(q).
     """
     parts = normalize_parts(g, parts)
     psi = tuple(psi)
@@ -122,11 +127,10 @@ def ground_colouring(
         raise PreconditionError(
             f"ground state has {len(psi)} colours for {len(parts)} parts"
         )
-    if q is not None:
-        check_q_beta(q, beta, zero_beta_ok=True)
-        for c in psi:
-            if not (0 <= c < q):
-                raise PreconditionError(f"ground-state colour {c} outside range(0, {q})")
+    check_q_beta(q, beta, zero_beta_ok=True)
+    for c in psi:
+        if not (0 <= c < q):
+            raise PreconditionError(f"ground-state colour {c} outside range(0, {q})")
     colour_of = [0] * g.n
     for part, c in zip(parts, psi):
         for v in part:
@@ -337,9 +341,7 @@ def _restricted_log_sum(
             if lam[ia] == c:
                 x += 1
         counts[x] += 1
-    return log_sum_exp(
-        [math.log(cnt) + beta * x for x, cnt in enumerate(counts) if cnt]
-    )
+    return log_count_sum(counts, beta)
 
 
 def restricted_log_partition(
@@ -388,8 +390,6 @@ def check_weight_bounds(
     q: int,
     beta: float,
     alpha: float,
-    *,
-    tol: float = 1e-9,
 ) -> None:
     """Require log w <= |gamma| * (log(q-1) - beta*alpha) for every polymer.
 
@@ -399,7 +399,7 @@ def check_weight_bounds(
     """
     rate = math.log(q - 1) - beta * alpha
     for poly, lw in zip(polymers, log_weights):
-        if lw > len(poly.vertices) * rate + tol:
+        if lw > len(poly.vertices) * rate + _WEIGHT_BOUND_TOL:
             raise PreconditionError(
                 "polymer weight bound violated: set "
                 f"{poly.vertices} has log-weight {lw:.6g} above "

@@ -15,6 +15,7 @@ keyword ``budgets`` caps the enumerations of one call (:class:`Budgets`).
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -42,7 +43,6 @@ from .polymers import (
     boundary_edge_set,
     check_q_beta,
     enumerate_polymers,
-    ground_colouring,
     kp_sufficient_beta,
     normalize_parts,
     truncated_log_xi,
@@ -54,8 +54,6 @@ __all__ = [
     "PottsResult",
     "GROUND_STATE_CAP",
     "XI_CAP",
-    "monochromatic_edges",
-    "ground_state_edges",
     "certified_alpha",
     "required_beta_expander",
     "required_beta_good_parts",
@@ -67,34 +65,6 @@ __all__ = [
 ]
 
 XI_CAP = 0.25  # accuracy requests are clamped to this (a stronger promise)
-
-
-def monochromatic_edges(g: Graph, colours: Sequence[int]) -> int:
-    """Number of edges whose endpoints share a colour."""
-    if len(colours) != g.n:
-        raise PreconditionError(
-            f"colouring has {len(colours)} entries for {g.n} vertices"
-        )
-    for v, c in enumerate(colours):
-        if not isinstance(c, int):
-            raise PreconditionError(f"vertex {v} has non-integer colour {c!r}")
-    return sum(1 for u, v in g.edges if colours[u] == colours[v])
-
-
-def ground_state_edges(
-    g: Graph, parts: Sequence[Sequence[int]], psi: Sequence[int]
-) -> int:
-    """m_G of the colouring that gives part i the colour psi[i]."""
-    return monochromatic_edges(g, ground_colouring(g, parts, psi)[1])
-
-
-def _psi_of_index(index: int, q: int, ell: int) -> tuple[int, ...]:
-    """Ground state number ``index`` in canonical order (part 0 varies fastest)."""
-    out = []
-    for _ in range(ell):
-        out.append(index % q)
-        index //= q
-    return tuple(out)
 
 
 def _colour_pattern(psi: Sequence[int]) -> tuple[int, ...]:
@@ -271,13 +241,15 @@ def _approx_core(
     caller.  When xi <= e^(-n/2) the exact oracle is cheaper than the
     expansion and is used instead (the result is then exact).
 
-    m_G(psi) and log Xi^psi are evaluated once per colour pattern
-    (:func:`_colour_pattern`), at the first psi of each pattern in index
-    order, and copied to the rest.  The copy is bit-exact; for a colour
-    permutation s:
+    m_G(psi) is the sum of ``between[i][j]``, the number of edges (u, v) in
+    ``g.edges`` with u in part i and v in part j, over the pairs (i, j)
+    with psi_i = psi_j.  It and log Xi^psi are evaluated once per colour
+    pattern (:func:`_colour_pattern`), at the first psi of each pattern in
+    index order (part 0 varies fastest), and copied to the rest.  The copy
+    is bit-exact; for a colour permutation s:
 
-    1. s keeps which parts share a colour, so m_G(s.psi) = m_G(psi), an
-       integer;
+    1. s keeps which parts share a colour, so m_G(s.psi) = m_G(psi): the
+       same integer sum over the same entries of the table;
     2. lambda -> s.lambda maps the colourings allowed under psi onto those
        allowed under s.psi and keeps X, so each restricted sum has the same
        integer histogram and hence the same float;
@@ -310,14 +282,26 @@ def _approx_core(
     depth = truncation_depth(n, zeta)
     model = enumerate_polymers(g, parts, depth, budget=budgets.polymers)
     expansion = ClusterExpansion(model, depth, budget=budgets.clusters)
+    part_of = [0] * n
+    for i, part in enumerate(parts):
+        for v in part:
+            part_of[v] = i
+    between = [[0] * ell for _ in range(ell)]
+    for u, v in g.edges:
+        between[part_of[u]][part_of[v]] += 1
     evaluated = []
     of_pattern: dict[tuple[int, ...], tuple[int, float]] = {}  # -> (m, log Xi)
-    for index in range(states):
-        psi = _psi_of_index(index, q, ell)
+    for digits in itertools.product(range(q), repeat=ell):
+        psi = digits[::-1]
         pattern = _colour_pattern(psi)
         if pattern not in of_pattern:
             of_pattern[pattern] = (
-                ground_state_edges(g, parts, psi),
+                sum(
+                    between[i][j]
+                    for i in range(ell)
+                    for j in range(ell)
+                    if psi[i] == psi[j]
+                ),
                 truncated_log_xi(
                     g, parts, psi, q, beta, zeta, alpha, expansion=expansion
                 ).log_xi,
@@ -498,12 +482,14 @@ def _cut_and_sum(
         sub, vs = induced_subgraph(g, keep, allow_isolated=True)
         relabel = {v: j for j, v in enumerate(vs)}
         sub_parts = tuple(tuple(relabel[v] for v in parts[i]) for i in good)
-        # the good rest is this step's no-cut case on G[rest]
-        sub_alphas = [alphas[i] for i in good]
-        sub_eta = min(len(p) for p in sub_parts) / sub.n
-        res = _cut_and_sum(
-            sub, sub_parts, sub_alphas, (), sub_eta, q, beta, xi, "partition", budgets
-        )
+        # The good rest needs no gate of its own: its alpha (a min over
+        # fewer parts) is >= alpha, Delta(G[rest]) <= Delta, and
+        # min |P| / |rest| >= eta, because a good part has |P| >=
+        # Fraction(eta) * n (with-partition) or |P| * k >= n (sse).  Every
+        # float step of required_beta_good_parts is monotone, so its
+        # threshold on the rest is at most the one beta passed above.
+        alpha_rest = min(alphas[i] for i in good)
+        res = _approx_core(sub, sub_parts, q, beta, xi, alpha_rest, "partition", budgets)
         log_z += res.log_z
         pieces.append(res)
 

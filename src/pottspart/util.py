@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Iterable
+from typing import Iterable, Sequence
 
 
 def log_sum_exp(values: Iterable[float]) -> float:
@@ -20,6 +20,14 @@ def log_sum_exp(values: Iterable[float]) -> float:
     if math.isinf(m):
         return m
     return m + math.log(math.fsum(math.exp(v - m) for v in vals))
+
+
+def log_count_sum(counts: Sequence[int], beta: float) -> float:
+    """log(sum over x of counts[x] * exp(beta * x)), skipping zero counts.
+
+    The log of a weighted histogram; -inf when every count is zero.
+    """
+    return log_sum_exp([math.log(c) + beta * x for x, c in enumerate(counts) if c])
 
 
 class OnlineLogSumExp:

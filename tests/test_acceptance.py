@@ -63,6 +63,7 @@ from pottspart.polymers import (
     check_weight_bounds,
     compatible,
     enumerate_polymers,
+    ground_colouring,
     is_sparse,
     kp_condition_holds,
     kp_sufficient_beta,
@@ -75,8 +76,6 @@ from pottspart.potts import (
     approx_log_z_sse,
     approx_log_z_with_partition,
     certified_alpha,
-    ground_state_edges,
-    monochromatic_edges,
     required_beta_expander,
     required_beta_good_parts,
     required_beta_sse,
@@ -329,6 +328,10 @@ def test_criterion_5_spectral_sanity(capsys):
                     assert lam[k - 1] / 2 <= rho + 1e-12
 
 
+def _monochromatic(g, colours):
+    return sum(1 for u, v in g.edges if colours[u] == colours[v])
+
+
 def _check_deviation_identity(g, parts, q, beta=0.9):
     owner = {}
     for i, part in enumerate(parts):
@@ -336,7 +339,7 @@ def _check_deviation_identity(g, parts, q, beta=0.9):
             owner[v] = i
     for psi in itertools.product(range(q), repeat=len(parts)):
         ground = [psi[owner[v]] for v in range(g.n)]
-        m_psi = monochromatic_edges(g, ground)
+        m_psi = _monochromatic(g, ground)
         for bits in range(1, 1 << g.n):
             u = tuple(v for v in range(g.n) if bits >> v & 1)
             touching = len(boundary_edge_set(g, u)) + sum(
@@ -349,7 +352,7 @@ def _check_deviation_identity(g, parts, q, beta=0.9):
                 for v, c in zip(u, lam):
                     omega[v] = c
                 terms.append(
-                    beta * (monochromatic_edges(g, omega) - m_psi + touching)
+                    beta * (_monochromatic(g, omega) - m_psi + touching)
                 )
             got = restricted_log_partition(g, parts, psi, u, q, beta)
             assert math.isclose(
@@ -431,9 +434,8 @@ def _check_ground_state_sums(g, parts, q, beta=0.8):
     )
     for psi in itertools.product(range(q), repeat=len(parts)):
         lhs = sparse_deviation_log_sum(g, parts, psi, q, beta)
-        rhs = beta * ground_state_edges(g, parts, psi) + exact_log_xi(
-            g, parts, psi, q, beta
-        )
+        ground = ground_colouring(g, parts, psi, q, beta)[1]
+        rhs = beta * _monochromatic(g, ground) + exact_log_xi(g, parts, psi, q, beta)
         assert math.isclose(lhs, rhs, rel_tol=1e-10, abs_tol=1e-10)
 
 

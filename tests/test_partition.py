@@ -548,6 +548,13 @@ class TestResumedStates:
             partition_into_expanders(g, p, _resume=([v], [[]]))
         with pytest.raises(PreconditionError, match="one core per part"):
             partition_into_expanders(g, p, _resume=([v], []))
+        for bad in (12, -1):
+            with pytest.raises(
+                PreconditionError, match=f"part 0 contains invalid vertex {bad}"
+            ):
+                partition_into_expanders(
+                    g, p, _resume=([v[:9] + [bad]], [v[:9] + [bad]])
+                )
 
     def test_resume_rejects_invariant_violations(self):
         # cores with conductance far above the level bound are refused

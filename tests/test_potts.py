@@ -48,6 +48,7 @@ from pottspart.polymers import (
     boundary_edge_set,
     compatible,
     enumerate_polymers,
+    ground_colouring,
     is_sparse,
     kp_sufficient_beta,
     restricted_log_partition,
@@ -65,13 +66,15 @@ from pottspart.potts import (
     approx_log_z_sse,
     approx_log_z_with_partition,
     certified_alpha,
-    ground_state_edges,
-    monochromatic_edges,
     required_beta_expander,
     required_beta_good_parts,
     required_beta_sse,
 )
 from pottspart.util import log_sum_exp
+
+
+def _monochromatic(g: Graph, colours) -> int:
+    return sum(1 for u, v in g.edges if colours[u] == colours[v])
 
 
 def clique_edges(vs):
@@ -169,29 +172,31 @@ class TestQBetaCheck:
 
 
 class TestMonochromaticEdges:
+    """The monochromaticEdges each ground state of a good-parts sum reports."""
+
+    @staticmethod
+    def _edges_of(g, parts, beta):
+        res = approx_log_z_good_parts(g, parts, 2, beta, XI_CAP)
+        return {tuple(p["psi"]): p["monochromaticEdges"] for p in res.per_psi}
+
     def test_constant_colouring_counts_all_edges(self):
         g = triangles_with_bridge()
-        assert monochromatic_edges(g, [5] * g.n) == g.m
+        edges = self._edges_of(g, [[0, 1, 2], [3, 4, 5]], 40.0)
+        assert edges[(0, 0)] == edges[(1, 1)] == g.m
 
     def test_proper_colouring_counts_none(self):
-        assert monochromatic_edges(cycle(4), [0, 1, 0, 1]) == 0
+        # single-vertex parts certify alpha = inf and have no polymers
+        edges = self._edges_of(cycle(4), [[0], [1], [2], [3]], 1.0)
+        assert edges[(0, 1, 0, 1)] == edges[(1, 0, 1, 0)] == 0
 
     def test_triangle_partial(self):
-        assert monochromatic_edges(complete(3), [0, 0, 1]) == 1
-
-    def test_length_mismatch(self):
-        with pytest.raises(PreconditionError):
-            monochromatic_edges(cycle(4), [0, 1, 0])
-
-    def test_non_integer_colour(self):
-        with pytest.raises(PreconditionError):
-            monochromatic_edges(cycle(4), [0, 1, 0, 1.5])
+        assert self._edges_of(complete(3), [[0], [1], [2]], 1.0)[(0, 0, 1)] == 1
 
     def test_ground_state_edges(self):
         g = triangles_with_bridge()
-        parts = [[0, 1, 2], [3, 4, 5]]
-        assert ground_state_edges(g, parts, (0, 0)) == 7
-        assert ground_state_edges(g, parts, (0, 1)) == 6
+        edges = self._edges_of(g, [[0, 1, 2], [3, 4, 5]], 40.0)
+        assert edges[(0, 0)] == 7
+        assert edges[(0, 1)] == 6
 
     @pytest.mark.parametrize(
         "parts, psi, match",
@@ -204,7 +209,7 @@ class TestMonochromaticEdges:
     )
     def test_ground_state_edges_refuses_a_bad_ground_state(self, parts, psi, match):
         with pytest.raises(PreconditionError, match=match):
-            ground_state_edges(cycle(6), parts, psi)
+            ground_colouring(cycle(6), parts, psi, 2, 1.0)
 
 
 class TestCertifiedAlpha:
@@ -500,7 +505,8 @@ class TestColourPatternReuse:
             psi = entry["psi"]
             direct = truncated_log_xi(g, parts, psi, q, beta, xi / 2, alpha)
             assert entry["logXi"] == direct.log_xi
-            assert entry["monochromaticEdges"] == ground_state_edges(g, parts, psi)
+            ground = ground_colouring(g, parts, psi, q, beta)[1]
+            assert entry["monochromaticEdges"] == _monochromatic(g, ground)
         # the same colour multiset, but a different pattern and value: a
         # cache keyed on the sorted colours would fail the loop above
         by_psi = {tuple(p["psi"]): p["logXi"] for p in res.per_psi}
@@ -514,19 +520,18 @@ class TestColourPatternReuse:
         g = clique_chain(t, 3, 1)
         parts = [list(range(3 * i, 3 * i + 3)) for i in range(t)]
         _, beta = _good_parts_instance(g, parts, 3)
-        calls, edge_counts = [], []
+        calls = []
         self._record_calls(monkeypatch, potts, "truncated_log_xi", calls)
-        self._record_calls(monkeypatch, potts, "ground_state_edges", edge_counts)
         res = approx_log_z_good_parts(g, parts, 3, beta, 0.1)
         assert res.ground_states == 3**t
         assert len(calls) == evaluations
         assert len({potts._colour_pattern(args[2]) for args in calls}) == evaluations
-        assert len(edge_counts) == evaluations
 
     def test_parts_are_validated_once_per_pattern(self, monkeypatch):
         # the ground-states benchmark's clique-chain(4,4,1) q=3 request: one
         # validation to certify the parts, one to enumerate the polymers and
-        # two for each of the 14 patterns (m_G and the weight pass)
+        # one weight pass for each of the 14 patterns (m_G comes from the
+        # part-edge table)
         g = clique_chain(4, 4, 1)
         parts = [list(range(4 * i, 4 * i + 4)) for i in range(4)]
         _, beta = _good_parts_instance(g, parts, 3)
@@ -535,7 +540,7 @@ class TestColourPatternReuse:
             self._record_calls(monkeypatch, module, "normalize_parts", calls)
         res = approx_log_z_good_parts(g, parts, 3, beta, 0.1)
         assert res.ground_states == 81
-        assert len(calls) <= 30
+        assert len(calls) <= 16
 
     def test_expander_evaluates_one_state(self, monkeypatch):
         calls = []
@@ -640,26 +645,43 @@ class TestWithPartitionPipeline:
                 g, [[0, 1, 2], list(range(3, 11))], 2, 40.0, 0.01, 0.5
             )
 
-    def test_each_part_is_swept_once(self, monkeypatch):
-        # two bridged K5's plus a pendant triangle; at eta = 0.3 the triangle
-        # is cut out, and neither it nor the rest is certified a second time
+    @staticmethod
+    def _cut_pendant_triangle(monkeypatch, name, calls):
+        """Two bridged K5's plus a pendant triangle, cut at eta = 0.3.
+
+        Records each call of potts.name in calls and returns the parts; the
+        triangle is the one bad part.
+        """
         g = Graph.from_edges(
             list(clique_chain(2, 5, 1).edges)
             + [(10, 11), (10, 12), (11, 12), (9, 10)]
         )
         parts = [list(range(5)), list(range(5, 10)), [10, 11, 12]]
         need = required_beta_good_parts(3, g.max_degree, certified_alpha(g, parts), 0.3)
-        swept = []
-        sweep = potts._sweep_in_part
+        inner = getattr(potts, name)
 
-        def counting_sweep(g_, part):
-            swept.append(frozenset(part))
-            return sweep(g_, part)
+        def counted(*args):
+            calls.append(args)
+            return inner(*args)
 
-        monkeypatch.setattr(potts, "_sweep_in_part", counting_sweep)
+        monkeypatch.setattr(potts, name, counted)
         res = approx_log_z_with_partition(g, parts, 3, 1.1 * need, 0.25, 0.3)
         assert res.eps_bound == pytest.approx(2 * 0.25 + 1.1 * need / 2)
+        return parts
+
+    def test_each_part_is_swept_once(self, monkeypatch):
+        # neither the cut triangle nor the rest is certified a second time
+        calls = []
+        parts = self._cut_pendant_triangle(monkeypatch, "_sweep_in_part", calls)
+        swept = [frozenset(part) for _, part in calls]
         assert sorted(swept, key=min) == [frozenset(p) for p in parts]
+
+    def test_threshold_is_checked_once(self, monkeypatch):
+        # the good rest {K5, K5} is summed without a second beta gate, since
+        # its alpha, Delta and eta are no worse than the whole partition's
+        calls = []
+        self._cut_pendant_triangle(monkeypatch, "required_beta_good_parts", calls)
+        assert len(calls) == 1
 
     def test_pieces_are_added_in_part_order(self):
         # bad parts: a triangle (expander pipeline) and then the edgeless
@@ -887,7 +909,7 @@ class TestStructuralProperties:
                     owner[v] = i
             for psi in itertools.product(range(q), repeat=len(parts)):
                 ground = [psi[owner[v]] for v in range(g.n)]
-                m_psi = monochromatic_edges(g, ground)
+                m_psi = _monochromatic(g, ground)
                 beta = 0.9
                 for bits in range(1, 1 << g.n):
                     u = tuple(v for v in range(g.n) if bits >> v & 1)
@@ -904,7 +926,7 @@ class TestStructuralProperties:
                             omega[v] = c
                         terms.append(
                             beta
-                            * (monochromatic_edges(g, omega) - m_psi + touching)
+                            * (_monochromatic(g, omega) - m_psi + touching)
                         )
                     got = restricted_log_partition(g, parts, psi, u, q, beta)
                     assert math.isclose(
@@ -1012,9 +1034,10 @@ class TestStructuralProperties:
             assert log_z - slack - 1e-9 <= log_z_star <= log_z + 1e-12
             for psi in itertools.product(range(2), repeat=len(parts)):
                 log_close = exact_log_z_psi(g, parts, psi, 2, beta)
-                log_tilde = beta * ground_state_edges(
-                    g, parts, psi
-                ) + exact_log_xi(g, parts, psi, 2, beta)
+                ground = ground_colouring(g, parts, psi, 2, beta)[1]
+                log_tilde = beta * _monochromatic(g, ground) + exact_log_xi(
+                    g, parts, psi, 2, beta
+                )
                 assert log_close - 1e-9 <= log_tilde <= log_close + slack + 1e-9
 
     def test_ground_state_dominance_threshold(self):
