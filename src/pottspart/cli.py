@@ -258,7 +258,11 @@ def _run_pipeline(args: argparse.Namespace, g: Graph, budgets: Budgets) -> Potts
 
 def _emit(payload: dict, args: argparse.Namespace, text: str) -> None:
     if args.format == "json":
-        sys.stdout.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+        # one compact line: indenting put every colour of every perPsi
+        # entry on its own line, half of a good-parts payload's bytes
+        sys.stdout.write(
+            json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n"
+        )
     else:
         sys.stdout.write(text)
 

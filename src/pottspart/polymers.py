@@ -414,7 +414,11 @@ def check_weight_bounds(
 
 
 def kp_margin(q: int, max_degree: int, beta: float, alpha: float) -> float:
-    """Slack of the convergence condition; nonpositive means it holds."""
+    """Slack of the convergence condition; nonpositive means it holds.
+
+    The cluster tail decays at rate rho = 1 - margin per vertex (see
+    :func:`truncation_depth`), so a margin of 0 gives rate 1.
+    """
     check_q_beta(q, beta, zero_beta_ok=True)
     if max_degree < 1:
         raise PreconditionError(f"max degree must be positive, got {max_degree}")
@@ -644,13 +648,55 @@ class ClusterExpansion:
 # ---------------------------------------------------------------------------
 
 
-def truncation_depth(n: int, xi: float) -> int:
-    """Depth at which the cluster tail drops below xi/2."""
+def truncation_depth(
+    n: int, xi: float, q: int, max_degree: int, beta: float, alpha: float
+) -> int:
+    """Cluster depth at which the truncation tail drops below xi/2.
+
+    Returns m = max(1, ceil(log(2n/xi) / rho)) with rho = 1 -
+    kp_margin(q, max_degree, beta, alpha).  Refuses a positive margin
+    (rho < 1), under which the bound below is not proved, naming the beta
+    that would pass.
+
+    Proof (Kotecky-Preiss, Comm. Math. Phys. 103, 1986, with a(g) = |g| and
+    d(g) = rho*|g|; the truncation step as in Helmuth-Perkins-Regts,
+    arXiv 1806.11548).  Write D = max_degree and tau = beta*alpha -
+    log(q-1), so that |w(g)| <= e^(-tau*|g|).  A polymer g' is incompatible
+    with g when it meets N[g], and |N[g]| <= (D+1)|g|; at most (eD)^(k-1)
+    connected k-sets contain a given vertex.  Hence
+
+        sum over g' ~ g of |w(g')| e^((1+rho)|g'|)
+            <= (D+1)|g| sum_{k>=1} (eD)^(k-1) e^(-(tau-1-rho)k)
+            <= |g| / (eD) <= |g|
+
+    whenever rho <= tau - 2 - log D - log(D+2), which is exactly
+    rho <= 1 - margin: then e^(-(tau-2-rho)) <= 1/(D(D+2)), the ratio of
+    the geometric series is at most 1/(D+2), and the factors (D+1) and
+    (D+2)/(D+1) cancel.  The same bound holds for a test set {v} that is
+    not itself a polymer (|N[v]| <= D+1), so KP gives, for each vertex v,
+    sum over clusters C touching N[v] of |phi(C) w^C| e^(rho*||C||) <= 1.
+    Every cluster touches N[v] for some v in V, so the clusters of total
+    size > m, i.e. ||C|| >= m+1, sum to at most n*e^(-rho*(m+1)).  The
+    depth formula needs only n*e^(-rho*m) <= xi/2; the spare factor
+    e^(-rho) <= 1/e absorbs the float rounding of rho and of the ceiling.
+
+    The argument needs the weight bound for polymers of every size, which
+    the expansion lemma gives with the certified alpha.  The run-time
+    :func:`check_weight_bounds` only guards the enumerated polymers (those
+    of size <= m).
+    """
+    margin = kp_margin(q, max_degree, beta, alpha)
+    if margin > 0:
+        raise PreconditionError(
+            "summability condition fails: "
+            f"beta={beta:.6g} with alpha={alpha:.6g} needs beta >= "
+            f"{kp_sufficient_beta(q, max_degree, alpha):.6g}"
+        )
     if not xi > 0:
         raise PreconditionError(f"xi must be positive, got {xi}")
     if math.isinf(xi):
         raise PreconditionError(f"xi must be finite, got {xi}")
-    return max(1, math.ceil(math.log(2 * n / xi)))
+    return max(1, math.ceil(math.log(2 * n / xi) / (1.0 - margin)))
 
 
 @dataclass(frozen=True)
@@ -677,19 +723,13 @@ def truncated_log_xi(
 
     Evaluates ``expansion`` under the ground state psi: its polymers are the
     model and its ``max_total_size`` is the reported depth.  Without one,
-    the expansion is built at :func:`truncation_depth` (n, xi); a supplied
+    the expansion is built at :func:`truncation_depth`; a supplied
     expansion shallower than that depth is refused.  Refuses too (rather
     than answering) when the summability condition or the per-polymer
     weight bound cannot be verified, since the truncation error guarantee
     would then be unsupported.
     """
-    if not kp_condition_holds(q, g.max_degree, beta, alpha):
-        raise PreconditionError(
-            "summability condition fails: "
-            f"beta={beta:.6g} with alpha={alpha:.6g} needs beta >= "
-            f"{kp_sufficient_beta(q, g.max_degree, alpha):.6g}"
-        )
-    depth = truncation_depth(g.n, xi)
+    depth = truncation_depth(g.n, xi, q, g.max_degree, beta, alpha)
     if expansion is None:
         expansion = ClusterExpansion(enumerate_polymers(g, parts, depth), depth)
     elif expansion.max_total_size < depth:

@@ -279,7 +279,7 @@ def _approx_core(
     # truncation at zeta = xi/2 leaves e^(-n) <= xi/2 of slack for the
     # states the ground-state decomposition misses or double-counts
     zeta = xi / 2.0
-    depth = truncation_depth(n, zeta)
+    depth = truncation_depth(n, zeta, q, g.max_degree, beta, alpha)
     model = enumerate_polymers(g, parts, depth, budget=budgets.polymers)
     expansion = ClusterExpansion(model, depth, budget=budgets.clusters)
     part_of = [0] * n

@@ -66,9 +66,11 @@ from pottspart.polymers import (
     ground_colouring,
     is_sparse,
     kp_condition_holds,
+    kp_margin,
     kp_sufficient_beta,
     polymer_log_weights,
     restricted_log_partition,
+    truncation_depth,
 )
 from pottspart.potts import (
     approx_log_z_expander,
@@ -212,22 +214,28 @@ def test_criterion_1_end_to_end_accuracy(capsys):
         assert elapsed <= 300.0
 
 
+def _criterion_2_catalog():
+    """(graph, parts, q, beta / kp_sufficient_beta, deepest m) of criterion 2."""
+    catalog = []
+    for q in (2, 3):
+        catalog += [
+            (complete(3), [range(3)], q, 1.1, 12),
+            (complete(4), [range(4)], q, 1.1, 12),
+            (complete(5), [range(5)], q, 1.5, 8),
+            (cycle(4), [range(4)], q, 1.1, 10),
+            (cycle(5), [range(5)], q, 1.1, 10),
+            (cycle(6), [range(6)], q, 1.5, 8),
+            (path(4), [range(4)], q, 1.1, 10),
+            (prism(), [[0, 1, 2], [3, 4, 5]], q, 1.5, 8),
+            (triangles_with_bridge(), [[0, 1, 2], [3, 4, 5]], q, 1.5, 8),
+            (bridged(4), [[0, 1, 2, 3], [4, 5, 6, 7]], q, 2.0, 8),
+        ]
+    return catalog
+
+
 def test_criterion_2_truncation_against_exact_polymer_sum(capsys):
     with _verdict(capsys, 2):
-        catalog = []
-        for q in (2, 3):
-            catalog += [
-                (complete(3), [range(3)], q, 1.1, 12),
-                (complete(4), [range(4)], q, 1.1, 12),
-                (complete(5), [range(5)], q, 1.5, 8),
-                (cycle(4), [range(4)], q, 1.1, 10),
-                (cycle(5), [range(5)], q, 1.1, 10),
-                (cycle(6), [range(6)], q, 1.5, 8),
-                (path(4), [range(4)], q, 1.1, 10),
-                (prism(), [[0, 1, 2], [3, 4, 5]], q, 1.5, 8),
-                (triangles_with_bridge(), [[0, 1, 2], [3, 4, 5]], q, 1.5, 8),
-                (bridged(4), [[0, 1, 2, 3], [4, 5, 6, 7]], q, 2.0, 8),
-            ]
+        catalog = _criterion_2_catalog()
         instances = 0
         for g, parts, q, mult, m_max in catalog:
             parts = [tuple(p) for p in parts]
@@ -251,6 +259,39 @@ def test_criterion_2_truncation_against_exact_polymer_sum(capsys):
                 assert abs(truncated - exact) <= 1e-9
             instances += 1
         assert instances >= 20
+
+
+def test_kp_slack_tail_against_exact_polymer_sum():
+    """The depth-m tail is at most n*e^(-rho*(m+1)), rho = 1 - KP margin.
+
+    Checked where that bound is at least 1e-12: exact_log_xi itself carries
+    about 1e-16 of rounding.  At the pipeline depth for xi (truncation at
+    xi/2) the error is at most xi/4.
+    """
+    for g, parts, q, mult, m_max in _criterion_2_catalog():
+        parts = [tuple(p) for p in parts]
+        alpha = certified_alpha(g, parts)
+        delta = max(g.degrees)
+        beta = mult * kp_sufficient_beta(q, delta, alpha)
+        rho = 1.0 - kp_margin(q, delta, beta, alpha)
+        polymers = enumerate_polymers(g, parts, max_size=g.n // 2)
+        psis = [(0,) * len(parts)]
+        if len(parts) == 2:
+            psis.append((0, 1))
+        for psi in psis:
+            weights = polymer_log_weights(g, parts, psi, polymers, q, beta)
+            check_weight_bounds(polymers, weights, q, beta, alpha)
+            exact = exact_log_xi(g, parts, psi, q, beta)
+            for m in range(1, m_max + 1):
+                bound = g.n * math.exp(-rho * (m + 1))
+                if bound < 1e-12:
+                    break
+                truncated = ClusterExpansion(polymers, m).log_xi(weights)
+                assert abs(truncated - exact) <= bound
+            for xi in (0.1, 0.01):
+                depth = truncation_depth(g.n, xi / 2, q, delta, beta, alpha)
+                truncated = ClusterExpansion(polymers, depth).log_xi(weights)
+                assert abs(truncated - exact) <= xi / 4
 
 
 def test_criterion_3_partition_certificates_at_scale(capsys):

@@ -112,6 +112,12 @@ class TestPottsCommand:
         assert payload["groundStates"] == 4
         assert len(payload["perPsi"]) == 4
 
+    def test_json_is_one_compact_line(self, bridged_triangles_file, capsys):
+        assert main(["potts", *GOOD_PARTS_ARGS, bridged_triangles_file]) == 0
+        out = capsys.readouterr().out
+        payload = json.loads(out)
+        assert out == json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n"
+
     def test_text_format(self, bridged_triangles_file, capsys):
         assert main(["potts", *GOOD_PARTS_ARGS, "--format", "text",
                      bridged_triangles_file]) == 0

@@ -612,11 +612,24 @@ class TestClusterExpansion:
 
 class TestTruncatedXi:
     def test_depth_formula(self):
-        assert truncation_depth(2, 1.0) == max(1, math.ceil(math.log(4)))
-        assert truncation_depth(10, 0.01) == math.ceil(math.log(2000))
+        # margin -1.129 at q=3, max degree 4, beta=8, alpha=1: rho = 2.129
+        assert truncation_depth(10, 0.01, 3, 4, 8.0, 1.0) == 4
+        assert truncation_depth(2, 1.0, 3, 4, 8.0, 1.0) == 1
+        # the sse regime: beta*alpha ~ 1e6 leaves depth 1 at any xi in reach
+        assert truncation_depth(1000, 1e-3, 3, 10, 1e9, 1e-3) == 1
+        # a margin of exactly 0 (rho = 1) gives the plain ceil(log(2n/xi))
+        beta0 = 3.0 + math.log(6) + math.log(8)
+        assert kp_margin(2, 6, beta0, 1.0) == 0.0
+        assert truncation_depth(10, 0.01, 2, 6, beta0, 1.0) == math.ceil(
+            math.log(2000)
+        )
+        # a positive margin certifies no depth
+        assert kp_margin(2, 2, 1.0, 0.5) > 0
+        with pytest.raises(PreconditionError, match="summability condition fails"):
+            truncation_depth(10, 0.01, 2, 2, 1.0, 0.5)
         for xi in (0.0, math.nan, math.inf):
             with pytest.raises(PreconditionError, match="xi must be"):
-                truncation_depth(5, xi)
+                truncation_depth(5, xi, 3, 4, 8.0, 1.0)
 
     def test_within_tolerance_of_exact(self):
         g = triangles_with_bridge()
@@ -628,7 +641,7 @@ class TestTruncatedXi:
         exact = exact_log_xi(g, parts, (0, 1), 2, beta)
         assert abs(res.log_xi - exact) <= xi
         assert res.eps_bound == xi
-        assert res.depth == truncation_depth(g.n, xi)
+        assert res.depth == truncation_depth(g.n, xi, 2, g.max_degree, beta, alpha)
         assert res.polymer_count > 0 and res.cluster_count > 0
 
     def test_refuses_when_condition_unverified(self):
@@ -651,7 +664,7 @@ class TestTruncatedXi:
         alpha = float(min_conductance(g)[0])
         beta = kp_sufficient_beta(3, 2, alpha) + 1.0
         xi = 1e-2
-        depth = truncation_depth(6, xi)
+        depth = truncation_depth(6, xi, 3, 2, beta, alpha)
         polys = enumerate_polymers(g, parts, max_size=min(depth, 3))
         a = truncated_log_xi(g, parts, (0, 0), 3, beta, xi, alpha)
         b = truncated_log_xi(
@@ -669,11 +682,11 @@ class TestTruncatedXi:
         assert c.polymer_count == len(polys)
 
     def test_refuses_a_shallower_expansion(self):
-        # depth 1 where xi = 1e-3 on 6 vertices needs depth 10
+        # depth 1 where xi = 1e-3 on 6 vertices needs depth 4 (rho = 3.02)
         g = triangles_with_bridge()
         parts = [[0, 1, 2], [3, 4, 5]]
         alpha = float(min_conductance(g)[0])
         beta = kp_sufficient_beta(2, g.max_degree, alpha) + 1.0
         exp = ClusterExpansion(enumerate_polymers(g, parts, 1), 1)
-        with pytest.raises(PreconditionError, match="depth 1; .* needs depth 10"):
+        with pytest.raises(PreconditionError, match="depth 1; .* needs depth 4"):
             truncated_log_xi(g, parts, (0, 1), 2, beta, 1e-3, alpha, expansion=exp)

@@ -314,7 +314,7 @@ class TestExpanderPipeline:
         res = approx_log_z_expander(g, 2, 21.0, xi, 1.0 / 3.0)
         assert res.mode == "expander"
         assert abs(res.log_z - exact_log_z(g, 2, 21.0)) <= xi
-        assert res.truncation_depth == truncation_depth(12, xi / 2)
+        assert res.truncation_depth == truncation_depth(12, xi / 2, 2, 2, 21.0, 1 / 3)
         assert res.clusters_evaluated > 0
         assert res.ground_states == 2
         assert [p["psi"] for p in res.per_psi] == [[0], [1]]
@@ -325,6 +325,8 @@ class TestExpanderPipeline:
         res = approx_log_z_expander(g, 2, 8.0, 0.01, 1.0)
         assert res.mode == "expander"
         assert abs(res.log_z - exact_log_z(g, 2, 8.0)) <= 0.01
+        # KP margin -2.29, so rho = 3.29 and log(4000) / rho gives depth 3
+        assert res.truncation_depth <= 3
 
     def test_below_threshold_names_threshold(self):
         with pytest.raises(PreconditionError, match="required threshold"):
@@ -356,14 +358,16 @@ class TestExpanderPipeline:
                 approx_log_z_expander(cycle(12), 2, 21.0, xi, 1.0 / 3.0)
 
     def test_depth_beyond_polymer_size_cap_is_refused_at_once(self):
-        # xi = 1e-7 on 60 vertices needs clusters of 22 vertices; clamping
-        # the polymer size to the cap would drop the larger polymers
-        alpha = 1.0 / 15.0
+        # xi = 1e-28 on 200 vertices needs clusters of 22 vertices (rho =
+        # 3.37); clamping the polymer size to the cap would drop the larger
+        # polymers
+        alpha = 0.02
         beta = 1.1 * required_beta_expander(2, 2, alpha)
-        assert truncation_depth(60, 0.5e-7) == 22 > POLYMER_SIZE_CAP
+        assert truncation_depth(200, 0.5e-28, 2, 2, beta, alpha) == 22
+        assert 22 > POLYMER_SIZE_CAP
         start = time.perf_counter()
         with pytest.raises(BudgetError, match="exceeds enumeration cap"):
-            approx_log_z_expander(cycle(60), 2, beta, 1e-7, alpha)
+            approx_log_z_expander(cycle(200), 2, beta, 1e-28, alpha)
         assert time.perf_counter() - start < 1.0
 
 
@@ -452,6 +456,29 @@ class TestGoodPartsPipeline:
         assert abs(res.log_z - exact_log_z(g, 2, beta)) <= 0.05
         # alpha feeds only the admission checks, never the estimate
         assert res.log_z == raw.log_z
+
+    def test_depth_follows_the_kp_slack(self):
+        # the ground-states benchmark's clique-chain(4,4,1) q=3 request: its
+        # KP margin is about -30, so depth 1 (16 singleton clusters) already
+        # certifies xi; rate 1 would need depth 7 and 112,937 clusters
+        g = clique_chain(4, 4, 1)
+        parts = [list(range(4 * i, 4 * i + 4)) for i in range(4)]
+        _, beta = _good_parts_instance(g, parts, 3)
+        out = approx_log_z_good_parts(g, parts, 3, beta, 0.1).to_dict()
+        assert out["truncationDepth"] == 1
+        assert out["clustersEvaluated"] == 16
+        # exact_log_z over the 3^16 states takes ~14 s; a bridge multiplies
+        # Z by (e^beta + q - 1) / q, which is checked against exact_log_z on
+        # a two-clique chain first
+        def bridge(b):
+            return b + math.log1p(2.0 * math.exp(-b)) - math.log(3)
+
+        for b in (2.0, beta):
+            blocks = 2 * exact_log_z(complete(3), 3, b) + bridge(b)
+            chain = exact_log_z(clique_chain(2, 3, 1), 3, b)
+            assert chain == pytest.approx(blocks, rel=1e-12)
+        exact = 4 * exact_log_z(complete(4), 3, beta) + 3 * bridge(beta)
+        assert abs(out["logZ"] - exact) <= out["epsBound"]
 
 
 def _clique_path(sizes):
