@@ -248,24 +248,27 @@ def induced_subgraph(
     """Subgraph induced on s, relabelled 0..|s|-1 in sorted vertex order.
 
     Returns (subgraph, vertices) where vertices[i] is the original id of the
-    subgraph's vertex i.
+    subgraph's vertex i.  The subgraph is read off g's sorted adjacency,
+    which relabelling in sorted order keeps sorted, so its edges are not
+    validated again; it equals Graph.from_edges of the relabelled edges,
+    refusals included.
     """
     vs = _vertex_tuple(g, s)
     if not vs:
         raise PreconditionError("induced subgraph of the empty set")
     index = {v: i for i, v in enumerate(vs)}
-    s_mask = mask_of(g, vs)
-    sub_edges = []
-    for v in vs:
-        mk = g.adj_masks[v] & s_mask
-        while mk:
-            low = mk & -mk
-            u = low.bit_length() - 1
-            mk ^= low
-            if u > v:
-                sub_edges.append((index[v], index[u]))
-    sub = Graph.from_edges(sub_edges, n=len(vs), allow_isolated=allow_isolated)
-    return sub, vs
+    adj = tuple(tuple(index[u] for u in g.adj[v] if u in index) for v in vs)
+    degrees = tuple(len(ns) for ns in adj)
+    m = sum(degrees) // 2
+    if not allow_isolated:
+        if m == 0:
+            raise PreconditionError("graph must have at least one edge")
+        if 0 in degrees:
+            raise PreconditionError(f"vertex {degrees.index(0)} is isolated")
+    edges = tuple((i, j) for i, ns in enumerate(adj) for j in ns if j > i)
+    # the neighbours are distinct, so summing their bits is or-ing them
+    masks = tuple(sum(1 << j for j in ns) for ns in adj)
+    return Graph(len(vs), adj, edges, degrees, m, masks), vs
 
 
 def components(g: Graph) -> list[tuple[int, ...]]:

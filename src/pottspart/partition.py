@@ -11,7 +11,7 @@ spectral quantities enter only through precomputed constants.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Collection, Iterable, Mapping, Sequence
 
@@ -29,7 +29,7 @@ from .graphs import (
 )
 from .oracle import min_conductance
 from .polymers import normalize_parts
-from .spectral import normalized_laplacian_spectrum, sweep_cut
+from .spectral import Spectrum, normalized_laplacian_spectrum, sweep_cut
 
 __all__ = [
     "PartitionParams",
@@ -47,7 +47,13 @@ _EIGENVALUE_ZERO_SNAP = 1e-8
 
 @dataclass(frozen=True)
 class PartitionParams:
-    """Spectral constants controlling the partitioner, fixed per graph."""
+    """Spectral constants controlling the partitioner, fixed per graph.
+
+    spectrum is the graph's normalized-Laplacian spectrum that the
+    constants come from.  The partitioner and verify_partition sweep the
+    whole vertex set with it instead of computing it again; it takes no
+    part in equality, repr or to_dict.
+    """
 
     k: int
     C: float
@@ -56,6 +62,7 @@ class PartitionParams:
     phi_in: float
     phi_out: float
     tau: Fraction
+    spectrum: Spectrum = field(compare=False, repr=False)
 
     @staticmethod
     def from_graph(g: Graph, k: int, C: float = 1.0) -> "PartitionParams":
@@ -84,6 +91,7 @@ class PartitionParams:
             phi_in=phi_in,
             phi_out=phi_out,
             tau=tau,
+            spectrum=spectrum,
         )
 
     @property
@@ -185,14 +193,18 @@ def _min_degree_ratio(g: Graph, vs: Collection[int]) -> Fraction:
 # ---------------------------------------------------------------------------
 
 
-def _sweep_in_part(g: Graph, part: set[int]):
+def _sweep_in_part(g: Graph, part: set[int], spectrum: Spectrum | None = None):
     """Sweep cut of the induced subgraph, in original labels.
 
     Returns (vertex set, conductance) or None when the part is too small or
-    edgeless to sweep.
+    edgeless to sweep.  spectrum, when given, must be g's own; it is used
+    when the part is all of V, whose induced subgraph is g itself.
     """
     if len(part) < 2:
         return None
+    if spectrum is not None and len(part) == g.n:
+        sc = sweep_cut(g, spectrum)
+        return set(sc.vertices), sc.conductance
     sub, vs = induced_subgraph(g, sorted(part), allow_isolated=True)
     if sub.m == 0:
         return None
@@ -378,7 +390,7 @@ def partition_into_expanders(
                 _strongest_attachment(g, mask_of(g, frag), part_masks, i)[1]
                 > cross_edges(g, frag, cores[i])
             )
-            sw = _sweep_in_part(g, part)
+            sw = _sweep_in_part(g, part, params.spectrum)
             sweeps.append(sw)
             if attract or (sw is not None and sw[1] < params.phi_in):
                 chosen = i
@@ -610,7 +622,7 @@ def verify_partition(
                 )
                 inner_ok = brute >= inner_threshold
             else:
-                sw = _sweep_in_part(g, set(vs))
+                sw = _sweep_in_part(g, set(vs), params.spectrum)
                 assert sw is not None
                 inner_lb = _inner_lower_bound(sw[1])
                 inner_ok = inner_lb >= inner_threshold

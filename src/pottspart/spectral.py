@@ -74,13 +74,14 @@ class Spectrum:
 
 
 def _fix_signs(vectors: np.ndarray) -> np.ndarray:
-    out = vectors.copy()
-    for j in range(out.shape[1]):
-        col = out[:, j]
-        i = int(np.argmax(np.abs(col)))
-        if col[i] < 0:
-            out[:, j] = -col
-    return out
+    """Negate, in place, each column whose largest-magnitude entry is negative.
+
+    np.argmax takes the lowest index among ties.
+    """
+    rows = np.argmax(np.abs(vectors), axis=0)
+    flip = vectors[rows, np.arange(vectors.shape[1])] < 0
+    np.negative(vectors, out=vectors, where=flip)
+    return vectors
 
 
 def normalized_laplacian_spectrum(g: Graph) -> Spectrum:
@@ -88,14 +89,16 @@ def normalized_laplacian_spectrum(g: Graph) -> Spectrum:
         raise PreconditionError(
             "normalized Laplacian undefined: graph has an isolated vertex"
         )
-    n = g.n
-    a = np.zeros((n, n), dtype=np.float64)
-    for u, v in g.edges:
-        a[u, v] = 1.0
-        a[v, u] = 1.0
+    # one buffer: -d_u^(-1/2) d_v^(-1/2) on each edge entry, 1 on the
+    # diagonal; both entries of an edge get the same float, so it is
+    # symmetric bit for bit
+    lap = np.zeros((g.n, g.n), dtype=np.float64)
     inv_sqrt_d = 1.0 / np.sqrt(np.asarray(g.degrees, dtype=np.float64))
-    lap = np.eye(n) - inv_sqrt_d[:, None] * a * inv_sqrt_d[None, :]
-    lap = (lap + lap.T) / 2.0
+    us, vs = np.asarray(g.edges, dtype=np.intp).T
+    off = -(inv_sqrt_d[us] * inv_sqrt_d[vs])
+    lap[us, vs] = off
+    lap[vs, us] = off
+    np.fill_diagonal(lap, 1.0)
     eigenvalues, eigenvectors = np.linalg.eigh(lap)
     return Spectrum(
         eigenvalues=tuple(float(x) for x in eigenvalues),
@@ -127,10 +130,7 @@ def sweep_cut(g: Graph, spectrum: Spectrum | None = None) -> SweepCut:
     comps = components(g)
     if len(comps) > 1:
         best = min(comps, key=lambda c: (sum(g.degrees[v] for v in c), c))
-        lam2 = 0.0
-        if spectrum is not None:
-            lam2 = spectrum.eigenvalues[1]
-        return SweepCut(vertices=best, conductance=Fraction(0), lambda2=lam2)
+        return SweepCut(vertices=best, conductance=Fraction(0), lambda2=0.0)
 
     if spectrum is None:
         spectrum = normalized_laplacian_spectrum(g)

@@ -239,6 +239,36 @@ class TestInducedSubgraph:
             sub, _ = induced_subgraph(g, s, allow_isolated=True)
             assert sub.m == expected
 
+    def test_direct_build_equals_from_edges(self):
+        # the part is read off the parent's adjacency; it must be the graph
+        # from_edges builds from the relabelled edges, refusals included
+        rng = random.Random(29)
+        refusals = set()
+        for _ in range(300):
+            g = _random_graph(rng, rng.randint(2, 10), rng.choice((0.2, 0.5)))
+            if g is None:
+                continue
+            s = sorted(rng.sample(range(g.n), rng.randint(1, g.n)))
+            index = {v: i for i, v in enumerate(s)}
+            relabelled = [
+                (index[u], index[v]) for u, v in g.edges if u in index and v in index
+            ]
+            sub, vs = induced_subgraph(g, s, allow_isolated=True)
+            assert vs == tuple(s)
+            assert sub == Graph.from_edges(relabelled, n=len(s), allow_isolated=True)
+            try:
+                expected = Graph.from_edges(relabelled, n=len(s))
+            except PreconditionError as exc:
+                with pytest.raises(PreconditionError) as got:
+                    induced_subgraph(g, s)
+                assert str(got.value) == str(exc)
+                refusals.add(
+                    "edge" if "at least one edge" in str(exc) else "isolated"
+                )
+            else:
+                assert induced_subgraph(g, s) == (expected, vs)
+        assert refusals == {"edge", "isolated"}
+
 
 class TestComponents:
     def test_two_triangles(self):

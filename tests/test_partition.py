@@ -8,6 +8,7 @@ from fractions import Fraction
 import pytest
 
 import pottspart.partition as partition_module
+import pottspart.spectral as spectral_module
 from conftest import (
     complete,
     cycle,
@@ -16,11 +17,14 @@ from conftest import (
     triangles_with_bridge,
     two_triangles,
 )
+from pottspart.cli import main
 from pottspart.errors import PreconditionError, VerificationError
+from pottspart.generate import random_regular
 from pottspart.graphs import (
     Graph,
     is_connected,
     mask_of,
+    serialize_graph,
     set_conductance,
     volume,
 )
@@ -32,6 +36,7 @@ from pottspart.partition import (
     phi_after_vertex_removal,
     verify_partition,
 )
+from pottspart.potts import approx_log_z_sse, required_beta_sse
 
 
 def clique_edges(vs):
@@ -179,6 +184,48 @@ class TestSweepInPart:
         assert sweep(g, {0, 1, 3, 5}) == ({3}, Fraction(0))
         assert sweep(g, {0, 1, 4}) == ({4}, Fraction(0))
 
+    def test_the_params_spectrum_sweeps_v_as_a_fresh_one_does(self):
+        for g in (random_regular(200, 3, 0), bridged_cliques(12), two_triangles()):
+            v = set(range(g.n))
+            params = PartitionParams.from_graph(g, 2)
+            assert partition_module._sweep_in_part(
+                g, v, params.spectrum
+            ) == partition_module._sweep_in_part(g, v)
+
+
+class TestOneSpectrumPerGraph:
+    """Each request computes the whole graph's spectrum once."""
+
+    @pytest.fixture
+    def spectra(self, monkeypatch):
+        calls = []
+        spectrum = spectral_module.normalized_laplacian_spectrum
+
+        def counting_spectrum(g):
+            calls.append(g.n)
+            return spectrum(g)
+
+        for module in (partition_module, spectral_module):
+            monkeypatch.setattr(
+                module, "normalized_laplacian_spectrum", counting_spectrum
+            )
+        return calls
+
+    def test_partition_command(self, spectra, tmp_path, capsys):
+        # l = 1: the loop and the verifier both sweep V, the params' spectrum
+        path = tmp_path / "rr200.el"
+        path.write_text(serialize_graph(random_regular(200, 3, 0)))
+        assert main(["partition", "--k", "3", str(path)]) == 0
+        assert '"ell":1,' in capsys.readouterr().out
+        assert spectra == [200]
+
+    def test_sse(self, spectra):
+        g = complete(8)
+        need = required_beta_sse(PartitionParams.from_graph(g, 2), 2, 7, 7)
+        spectra.clear()
+        approx_log_z_sse(g, 2, 2, need * 1.01, 0.7)
+        assert spectra == [8]
+
 
 class TestStrongestAttachment:
     def test_tie_break_own_part_and_no_other_part(self):
@@ -266,9 +313,9 @@ class TestPartitionIntoExpanders:
         swept = []
         sweep = partition_module._sweep_in_part
 
-        def counting_sweep(g, part):
+        def counting_sweep(g, part, spectrum=None):
             swept.append(frozenset(part))
-            return sweep(g, part)
+            return sweep(g, part, spectrum)
 
         monkeypatch.setattr(partition_module, "_sweep_in_part", counting_sweep)
         g = bridged_cliques(40)

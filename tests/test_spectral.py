@@ -13,6 +13,7 @@ from pottspart.errors import PreconditionError
 from pottspart.graphs import Graph, boundary_size, components, volume
 from pottspart.spectral import (
     Spectrum,
+    _fix_signs,
     normalized_laplacian_spectrum,
     sweep_cut,
 )
@@ -77,6 +78,35 @@ class TestSpectrum:
             col = s.eigenvectors[:, j]
             assert col[int(np.argmax(np.abs(col)))] > 0
 
+    def test_sign_fix_matches_the_column_loop(self):
+        # reference: per column, negate when the first entry of largest
+        # magnitude is negative; small integers make ties common
+        rng = np.random.default_rng(7)
+        for shape in ((2, 3), (5, 5), (7, 4)):
+            v = rng.integers(-2, 3, size=shape).astype(float)
+            expected = v.copy()
+            for j in range(v.shape[1]):
+                col = expected[:, j]
+                if col[int(np.argmax(np.abs(col)))] < 0:
+                    expected[:, j] = -col
+            assert np.array_equal(_fix_signs(v), expected)
+        tie = np.array([[-1.0, 1.0], [1.0, -1.0]])
+        assert np.array_equal(_fix_signs(tie), np.array([[1.0, 1.0], [-1.0, -1.0]]))
+
+    def test_matches_the_textbook_laplacian_bit_for_bit(self):
+        # I - D^(-1/2) A D^(-1/2), symmetrised, as dense products
+        for g in (petersen(), _random_connected(random.Random(41), 11)):
+            n = g.n
+            a = np.zeros((n, n))
+            for u, v in g.edges:
+                a[u, v] = a[v, u] = 1.0
+            d = 1.0 / np.sqrt(np.array(g.degrees, float))
+            lap = np.eye(n) - d[:, None] * a * d[None, :]
+            lam, vec = np.linalg.eigh((lap + lap.T) / 2.0)
+            s = normalized_laplacian_spectrum(g)
+            assert s.eigenvalues == tuple(float(x) for x in lam)
+            assert np.array_equal(s.eigenvectors, _fix_signs(vec))
+
     def test_eigen_equation(self):
         g = petersen()
         n = g.n
@@ -140,6 +170,15 @@ class TestSweepCut:
         cut = sweep_cut(g)
         assert cut.conductance == 0
         assert cut.vertices == (0, 1, 2)
+
+    def test_disconnected_lambda2_is_exactly_zero(self):
+        # the float spectrum's lambda_2 is only near zero; the component
+        # cut reports the true value whether or not a spectrum is passed
+        g = two_triangles()
+        spectrum = normalized_laplacian_spectrum(g)
+        assert sweep_cut(g).lambda2 == 0.0
+        assert sweep_cut(g, spectrum).lambda2 == 0.0
+        assert sweep_cut(g, spectrum) == sweep_cut(g)
 
     def test_disconnected_min_volume_component(self):
         # triangle (vol 6) + single edge (vol 2): the edge side is returned
