@@ -12,6 +12,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable, Sequence
 
+import numpy as np
+
 from .errors import ParseError, PreconditionError
 from .util import as_fraction
 
@@ -19,6 +21,8 @@ VertexSet = Iterable[int]
 
 # Largest n for which a scan over all 2^n vertex subsets is attempted.
 SUBSET_ENUM_MAX_N = 20
+# subset_scan's low block holds the subsets of this many first vertices
+_SUBSET_BLOCK_BITS = 15
 
 
 @dataclass(frozen=True)
@@ -297,29 +301,60 @@ def is_connected(g: Graph) -> bool:
 
 
 def subset_scan(g: Graph):
-    """Yield (mask, boundary, volume) over all nonempty vertex subsets.
+    """Yield (masks, sizes, boundary, volume) blocks over all vertex subsets.
 
-    The subsets come in Gray-code order: each step adds or removes one
-    vertex, so boundary and volume are updated in O(1) per subset.
+    The first L = min(n, 15) vertices form the low block: the sizes,
+    volumes and internal edge counts of its 2**L subsets are vectors
+    computed once, as is, for each high vertex b (L..n-1), the number of
+    b's neighbours in each low subset.  One block of 2**L subsets follows
+    per subset H of the high vertices, in increasing order of H, so the
+    masks rise over the whole scan, the empty set (mask 0) first.  A block
+    adds H's size and volume as scalars, and its boundary is vol(S) - 2e(S),
+    where e(S) adds e(H) and the neighbour counts of the high vertices in H.
+    The 2**n subsets so cost 2**(n-L) steps of a few vector operations on
+    2**L entries.  The four fields are int64 arrays of length 2**L.
     """
     n = g.n
-    adj = g.adj_masks
-    deg = g.degrees
-    mask = 0
-    bnd = 0
-    vol = 0
-    for i in range(1, 1 << n):
-        v = (i & -i).bit_length() - 1
-        bit = 1 << v
-        if mask & bit:
-            mask ^= bit
-            vol -= deg[v]
-            bnd -= deg[v] - 2 * (adj[v] & mask).bit_count()
-        else:
-            bnd += deg[v] - 2 * (adj[v] & mask).bit_count()
-            mask ^= bit
-            vol += deg[v]
-        yield mask, bnd, vol
+    low = min(n, _SUBSET_BLOCK_BITS)
+    low_masks = np.arange(1 << low, dtype=np.int64)
+    bits = [(low_masks >> v & 1).astype(bool) for v in range(low)]
+    low_sizes = np.zeros(1 << low, dtype=np.int64)
+    low_vol = np.zeros(1 << low, dtype=np.int64)
+    low_inner = np.zeros(1 << low, dtype=np.int64)
+    for v in range(low):
+        low_sizes += bits[v]
+        low_vol += g.degrees[v] * bits[v]
+        for u in g.adj[v]:
+            if u < v:
+                low_inner += bits[u] & bits[v]
+    # for each high vertex, how many of its neighbours each low subset holds
+    reach = []
+    for b in range(low, n):
+        count = np.zeros(1 << low, dtype=np.int64)
+        for u in g.adj[b]:
+            if u < low:
+                count += bits[u]
+        reach.append(count)
+    high_adj = [mk >> low for mk in g.adj_masks[low:]]
+    for top in range(1 << (n - low)):
+        size = vol = inner = 0
+        inner_vec = low_inner.copy()
+        mk = top
+        while mk:
+            lowest = mk & -mk
+            j = lowest.bit_length() - 1
+            mk ^= lowest
+            size += 1
+            vol += g.degrees[low + j]
+            inner += (high_adj[j] & top & (lowest - 1)).bit_count()
+            inner_vec += reach[j]
+        volume_vec = low_vol + vol
+        yield (
+            low_masks + (top << low),
+            low_sizes + size,
+            volume_vec - 2 * (inner_vec + inner),
+            volume_vec,
+        )
 
 
 def connected_sets(
@@ -373,25 +408,29 @@ def is_alpha_expander(
     """Exhaustively check |boundary(S)| >= alpha*|S| for all |S| <= n/2.
 
     Exact rational comparison.  Only for n <= SUBSET_ENUM_MAX_N.  On failure
-    returns the violating set with the smallest bitmask; the scan meets
-    other violations first, so it always runs to the end.
+    returns the violating set with the smallest bitmask: the scan's blocks
+    come in mask order, so it stops at the first block that holds a
+    violation and takes that block's smallest violating mask.
     """
     if g.n > SUBSET_ENUM_MAX_N:
         raise PreconditionError(
             f"is_alpha_expander is exhaustive and capped at n <= "
             f"{SUBSET_ENUM_MAX_N} (got n={g.n})"
         )
-    a = as_fraction(alpha)
+    a = as_fraction(alpha, "alpha")
     if a < 0:
         raise PreconditionError("alpha must be nonnegative")
     num, den = a.numerator, a.denominator
-    n = g.n
-    witness = 1 << n  # above every subset's mask until a violation is met
-    for mask, bnd, _ in subset_scan(g):
-        size = mask.bit_count()
-        # bnd >= (num/den) * size  <=>  bnd*den >= num*size
-        if mask < witness and 2 * size <= n and bnd * den < num * size:
-            witness = mask
-    if witness >> n:
-        return True, None
-    return False, vertices_of_mask(witness)
+    # an integer boundary b violates b >= (num/den)*size exactly when
+    # b < ceil(num*size/den); capping at m+1 keeps that (b <= m) in int64,
+    # and sets above half the vertices need nothing
+    need = np.array(
+        [min(-(-num * size // den), g.m + 1) if 2 * size <= g.n else 0
+         for size in range(g.n + 1)],
+        dtype=np.int64,
+    )
+    for masks, sizes, bnd, _ in subset_scan(g):
+        bad = bnd < need[sizes]
+        if bad.any():
+            return False, vertices_of_mask(int(masks[bad.argmax()]))
+    return True, None

@@ -3,10 +3,21 @@
 Everything here is computed by exhaustive enumeration under hard budgets;
 nothing is approximated.  These functions are the reference values the rest
 of the package is tested against.
+
+The colouring enumeration splits the vertices into a low block and a high
+rest.  The colourings of the first L vertices, q**L <= 2**15 of them, are
+laid out once as numpy vectors, and a Python loop runs over the q**(n-L)
+colourings of the others.  Each step adds a scalar for the edges among the
+high vertices and, for each edge between the two sides, one comparison of a
+precomputed low column with a high colour, so q**n states cost q**(n-L)
+vector steps of q**L entries.  The subset scans behind the conductance
+functions take the same shape from :func:`graphs.subset_scan`, with 2**15
+low subsets per block.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from fractions import Fraction
 from typing import Iterable, Sequence
@@ -54,32 +65,64 @@ KWAY_MAX_N = 14
 _BLOCK = 1 << 15
 
 
-def _colour_blocks(n: int, q: int):
-    """Yield (block_size, colours) arrays over all q**n colourings.
+def _low_block(n: int, q: int) -> np.ndarray:
+    """Colours of the low vertices in every state of the low block.
 
-    Colour of vertex v in state s is digit v of s in base q (vertex 0 least
+    The low vertices are 0..L-1 for the largest L <= n with q**L <= _BLOCK.
+    Row v of the (L, q**L) result is vertex v's colour in each low state:
+    state s gives vertex v the base-q digit v of s (vertex 0 least
     significant).
     """
-    total = q**n
-    radix = q ** np.arange(n, dtype=np.int64)
-    for start in range(0, total, _BLOCK):
-        idx = np.arange(start, min(start + _BLOCK, total), dtype=np.int64)
-        cols = ((idx[:, None] // radix[None, :]) % q).astype(np.uint8)
-        yield cols
+    low = 0
+    while low < n and q ** (low + 1) <= _BLOCK:
+        low += 1
+    states = np.arange(q**low, dtype=np.int64)
+    # q <= _BLOCK whenever there is a low vertex, so colours fit 16 bits
+    cols = np.empty((low, q**low), dtype=np.uint8 if q <= 256 else np.uint16)
+    for v in range(low):
+        cols[v] = states // q**v % q
+    return cols
 
 
-def _mono_counts(cols: np.ndarray, edges: Sequence[tuple[int, int]]) -> np.ndarray:
-    acc = np.zeros(cols.shape[0], dtype=np.int32)
-    for a, b in edges:
-        acc += cols[:, a] == cols[:, b]
-    return acc
+def _mono_blocks(n: int, edges: Iterable[tuple[int, int]], q: int, cols: np.ndarray):
+    """Yield (high, mono) for each colouring of the high vertices.
+
+    ``cols`` is :func:`_low_block`'s table for its L low vertices; the high
+    vertices are L..n-1, and ``high[i]`` is the colour of vertex L+i.  The
+    colourings come in ``itertools.product`` order of their reversed digits.
+    ``mono[s]`` counts the monochromatic edges of the colouring made of low
+    state s and ``high``: the low-low count is one precomputed vector, the
+    high-high count a scalar, and each low-high edge (a, b) adds the
+    indicator ``cols[a] == high[b - L]``.  So one high step costs a vector
+    operation per low-high edge on q**L entries, with no division, and the
+    q**n states cost q**(n-L) such steps.  ``mono`` is one buffer that the
+    next step overwrites.  Edges may be given either way round.
+    """
+    low, size = cols.shape
+    inner = np.zeros(size, dtype=np.int32)
+    top: list[tuple[int, int]] = []  # high-high edges, as high offsets
+    cross: list[tuple[np.ndarray, int]] = []  # (low column, high offset)
+    for u, v in edges:
+        a, b = (u, v) if u < v else (v, u)
+        if b < low:
+            inner += cols[a] == cols[b]
+        elif a >= low:
+            top.append((a - low, b - low))
+        else:
+            cross.append((cols[a], b - low))
+    mono = np.empty(size, dtype=np.int32)
+    for digits in itertools.product(range(q), repeat=n - low):
+        high = digits[::-1]
+        np.add(inner, sum(high[a] == high[b] for a, b in top), out=mono)
+        for col, j in cross:
+            mono += col == high[j]
+        yield high, mono
 
 
 def _log_z_component(n: int, edges: Sequence[tuple[int, int]], q: int, beta: float) -> float:
     hist = np.zeros(len(edges) + 1, dtype=np.int64)
-    for cols in _colour_blocks(n, q):
-        acc = _mono_counts(cols, edges)
-        hist += np.bincount(acc, minlength=len(edges) + 1)
+    for _, mono in _mono_blocks(n, edges, q, _low_block(n, q)):
+        hist += np.bincount(mono, minlength=len(edges) + 1)
     return log_count_sum(hist.tolist(), beta)
 
 
@@ -123,16 +166,24 @@ def exact_log_z_psi(
         raise BudgetError(
             f"enumeration needs {q**g.n} states, over budget {STATE_BUDGET}"
         )
+    cols = _low_block(g.n, q)
+    low = cols.shape[0]
+    # per part: its low vertices' agreement vector, its high vertices
+    # (offset, ground colour) and its size
+    checks = []
+    for part in parts:
+        agree = np.zeros(cols.shape[1], dtype=np.int32)
+        for v in part:
+            if v < low:
+                agree += cols[v] == ground[v]
+        tops = [(v - low, ground[v]) for v in part if v >= low]
+        checks.append((agree, tops, len(part)))
     hist = np.zeros(g.m + 1, dtype=np.int64)
-    for cols in _colour_blocks(g.n, q):
-        acc = _mono_counts(cols, g.edges)
-        ok = np.ones(cols.shape[0], dtype=bool)
-        for part in parts:
-            agree = np.zeros(cols.shape[0], dtype=np.int32)
-            for v in part:
-                agree += cols[:, v] == ground[v]
-            ok &= 2 * agree > len(part)
-        hist += np.bincount(acc[ok], minlength=g.m + 1)
+    for high, mono in _mono_blocks(g.n, g.edges, q, cols):
+        ok = np.ones(cols.shape[1], dtype=bool)
+        for agree, tops, size in checks:
+            ok &= 2 * (agree + sum(high[j] == c for j, c in tops)) > size
+        hist += np.bincount(mono[ok], minlength=g.m + 1)
     return log_count_sum(hist.tolist(), beta)
 
 
@@ -157,22 +208,33 @@ def exact_log_z_star(
         raise BudgetError(
             f"enumeration needs {q**g.n} states, over budget {STATE_BUDGET}"
         )
+    cols = _low_block(g.n, q)
+    low, size = cols.shape
+    states = np.arange(size)
+    # per part: its low vertices' colour counts (row c counts colour c) and
+    # its high vertices' offsets
+    tallies = []
+    for part in parts:
+        counts = np.zeros((q, size), dtype=np.int32)
+        for v in part:
+            if v < low:
+                counts[cols[v], states] += 1
+        tallies.append((counts, [v - low for v in part if v >= low], len(part)))
     width = g.m + 1
     hist = np.zeros(q**ell * width, dtype=np.int64)
-    for cols in _colour_blocks(g.n, q):
-        acc = _mono_counts(cols, g.edges).astype(np.int64)
-        ok = np.ones(cols.shape[0], dtype=bool)
-        psi_idx = np.zeros(cols.shape[0], dtype=np.int64)
+    for high, mono in _mono_blocks(g.n, g.edges, q, cols):
+        ok = np.ones(size, dtype=bool)
+        psi_idx = np.zeros(size, dtype=np.int64)
         scale = 1
-        for part in parts:
-            counts = np.stack(
-                [sum((cols[:, v] == c) for v in part) for c in range(q)], axis=1
-            )
-            best = counts.max(axis=1)
-            ok &= 2 * best > len(part)
-            psi_idx += counts.argmax(axis=1) * scale
+        for counts, tops, part_size in tallies:
+            extra = np.zeros((q, 1), dtype=np.int32)
+            for j in tops:
+                extra[high[j]] += 1
+            total = counts + extra
+            ok &= 2 * total.max(axis=0) > part_size
+            psi_idx += total.argmax(axis=0) * scale
             scale *= q
-        combined = psi_idx[ok] * width + acc[ok]
+        combined = psi_idx[ok] * width + mono[ok]
         hist += np.bincount(combined, minlength=len(hist))
     # an empty slice gives -inf, which adds exactly 0.0 to the re-sum
     per_psi = [
@@ -282,34 +344,51 @@ def sparse_deviation_log_sum(
 # ---------------------------------------------------------------------------
 
 
+def _block_min(bnd: np.ndarray, vol: np.ndarray, ok: np.ndarray):
+    """Exact minimum of bnd/vol over the entries ok selects, and where.
+
+    Returns (b, v, positions) with b/v the minimum and positions every
+    entry that attains it, or None when ok selects nothing.  Rounding is
+    monotone, so every exact minimiser has the smallest float ratio; the
+    exact minimum is then picked among those few entries and the rest are
+    kept by integer cross-multiplication.
+    """
+    if not ok.any():
+        return None
+    ratio = np.divide(bnd, vol, out=np.full(len(bnd), np.inf), where=ok)
+    near = np.flatnonzero(ratio == ratio.min())
+    b, v = min(
+        zip(bnd[near].tolist(), vol[near].tolist()), key=lambda bv: Fraction(*bv)
+    )
+    return b, v, near[bnd[near] * v == b * vol[near]]
+
+
 def min_conductance(g: Graph) -> tuple[Fraction, tuple[int, ...]]:
     """Exact conductance of the graph with a minimizing witness.
 
     Minimizes boundary/volume over nonempty sets of at most half the total
-    volume; ties resolve to the lexicographically smallest vertex tuple.
+    volume; ties resolve to the lexicographically smallest vertex tuple,
+    compared among each block's exact minimisers.
     """
     if g.n > SUBSET_ENUM_MAX_N:
         raise BudgetError(
             f"subset enumeration limited to n <= {SUBSET_ENUM_MAX_N}, got {g.n}"
         )
     total = 2 * g.m
-    best_num = 1
-    best_den = 0  # represents +infinity
-    best_witness: tuple[int, ...] | None = None
-    for mask, bnd, vol in subset_scan(g):
-        if vol == 0 or 2 * vol > total:
+    best: tuple[int, int, tuple[int, ...]] | None = None
+    for masks, _, bnd, vol in subset_scan(g):
+        found = _block_min(bnd, vol, (vol > 0) & (2 * vol <= total))
+        if found is None:
             continue
-        lhs = bnd * best_den
-        rhs = best_num * vol
-        if lhs < rhs:
-            best_num, best_den, best_witness = bnd, vol, vertices_of_mask(mask)
-        elif lhs == rhs:
-            witness = vertices_of_mask(mask)
-            if best_witness is None or witness < best_witness:
-                best_num, best_den, best_witness = bnd, vol, witness
-    if best_witness is None:
+        b, v, where = found
+        if best is not None and b * best[1] > best[0] * v:
+            continue
+        witness = min(vertices_of_mask(mask) for mask in masks[where].tolist())
+        if best is None or b * best[1] < best[0] * v or witness < best[2]:
+            best = (b, v, witness)
+    if best is None:
         raise PreconditionError("graph has no nonempty set within half the volume")
-    return Fraction(best_num, best_den), best_witness
+    return Fraction(best[0], best[1]), best[2]
 
 
 def expansion_profile(g: Graph, volume_bound) -> Fraction:
@@ -318,13 +397,15 @@ def expansion_profile(g: Graph, volume_bound) -> Fraction:
         raise BudgetError(
             f"subset enumeration limited to n <= {SUBSET_ENUM_MAX_N}, got {g.n}"
         )
-    bound = as_fraction(volume_bound)
+    bound = as_fraction(volume_bound, "volume_bound")
+    # an integer volume is at most the bound exactly when it is at most its
+    # floor; clipping to [-1, 2m] keeps that in int64
+    cap = max(-1, min(bound.numerator // bound.denominator, 2 * g.m))
     best: tuple[int, int] | None = None
-    for mask, bnd, vol in subset_scan(g):
-        if vol == 0 or vol * bound.denominator > bound.numerator:
-            continue
-        if best is None or bnd * best[1] < best[0] * vol:
-            best = (bnd, vol)
+    for _, _, bnd, vol in subset_scan(g):
+        found = _block_min(bnd, vol, (vol > 0) & (vol <= cap))
+        if found is not None and (best is None or found[0] * best[1] < best[0] * found[1]):
+            best = found[:2]
     if best is None:
         raise PreconditionError(
             f"no nonempty set has volume at most {bound}; bound below min degree"
@@ -339,13 +420,12 @@ def k_way_expansion(g: Graph, k: int) -> Fraction:
     if not (1 <= k <= g.n):
         raise PreconditionError(f"k must be between 1 and {g.n}, got {k}")
     size = 1 << g.n
-    bnd_arr = [0] * size
-    vol_arr = [0] * size
-    for mask, bnd, vol in subset_scan(g):
-        bnd_arr[mask] = bnd
-        vol_arr[mask] = vol
+    # the scan's masks run 0, 1, ..., size - 1 over its blocks
+    blocks = list(subset_scan(g))
+    bnd_arr = np.concatenate([block[2] for block in blocks]).tolist()
+    vol_arr = np.concatenate([block[3] for block in blocks]).tolist()
 
-    values = sorted({Fraction(bnd_arr[m], vol_arr[m]) for m in range(1, size)})
+    values = sorted({Fraction(b, v) for b, v in zip(bnd_arr[1:], vol_arr[1:])})
 
     def feasible(threshold: Fraction) -> bool:
         num, den = threshold.numerator, threshold.denominator

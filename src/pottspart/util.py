@@ -6,6 +6,8 @@ import math
 from fractions import Fraction
 from typing import Iterable, Sequence
 
+from .errors import PreconditionError
+
 
 def log_sum_exp(values: Iterable[float]) -> float:
     """log(sum(exp(v) for v in values)), stable under large magnitudes.
@@ -56,14 +58,17 @@ class OnlineLogSumExp:
         return self._max + math.log(self._sum)
 
 
-def as_fraction(x: int | float | Fraction) -> Fraction:
-    """Lift a number to an exact Fraction (floats convert exactly)."""
+def as_fraction(x: int | float | Fraction, name: str) -> Fraction:
+    """Lift the argument ``name`` to an exact Fraction (floats convert exactly).
+
+    A nan or infinite float has no rational value and is refused.
+    """
     if isinstance(x, Fraction):
         return x
     if isinstance(x, int):
         return Fraction(x)
     if isinstance(x, float):
         if math.isnan(x) or math.isinf(x):
-            raise ValueError(f"cannot convert {x!r} to a rational")
+            raise PreconditionError(f"{name} must be finite, got {x!r}")
         return Fraction(x)
     raise TypeError(f"unsupported numeric type: {type(x).__name__}")

@@ -233,9 +233,30 @@ def _criterion_2_catalog():
     return catalog
 
 
+def _truncations(expansion, log_weights, depths):
+    """log Xi truncated at each depth, read off one deeper expansion.
+
+    The depth-m truncation is the sum over the expansion's clusters of total
+    size at most m, each term formed as ClusterExpansion.log_xi forms it;
+    fsum is correctly rounded, so which clusters are summed fixes the value.
+    """
+    sizes = [len(p.vertices) for p in expansion.polymers]
+    sized_terms = []
+    for cl in expansion.clusters:
+        s = 0.0
+        for idx, mult in zip(cl.support, cl.multiplicities):
+            s += mult * log_weights[idx]
+        total = sum(mult * sizes[idx] for idx, mult in zip(cl.support, cl.multiplicities))
+        sized_terms.append((total, (cl.ursell_num / cl.ursell_den) * math.exp(s)))
+    return [math.fsum(t for total, t in sized_terms if total <= m) for m in depths]
+
+
 def test_criterion_2_truncation_against_exact_polymer_sum(capsys):
     with _verdict(capsys, 2):
         catalog = _criterion_2_catalog()
+        # the clusters depend only on the polymers, so one build per polymer
+        # model serves every depth, every ground state and both q
+        expansions = {}
         instances = 0
         for g, parts, q, mult, m_max in catalog:
             parts = [tuple(p) for p in parts]
@@ -243,7 +264,12 @@ def test_criterion_2_truncation_against_exact_polymer_sum(capsys):
             delta = max(g.degrees)
             beta = mult * kp_sufficient_beta(q, delta, alpha)
             assert kp_condition_holds(q, delta, beta, alpha)
-            polymers = enumerate_polymers(g, parts, max_size=g.n // 2)
+            key = (g.edges, tuple(parts), m_max)
+            if key not in expansions:
+                polymers = enumerate_polymers(g, parts, max_size=g.n // 2)
+                expansions[key] = ClusterExpansion(polymers, m_max)
+            expansion = expansions[key]
+            polymers = expansion.polymers
             psis = [(0,) * len(parts)]
             if len(parts) == 2:
                 psis.append((0, 1))
@@ -251,14 +277,33 @@ def test_criterion_2_truncation_against_exact_polymer_sum(capsys):
                 weights = polymer_log_weights(g, parts, psi, polymers, q, beta)
                 check_weight_bounds(polymers, weights, q, beta, alpha)
                 exact = exact_log_xi(g, parts, psi, q, beta)
-                truncated = None
-                for m in range(1, m_max + 1):
-                    truncated = ClusterExpansion(polymers, m).log_xi(weights)
+                depths = range(1, m_max + 1)
+                truncations = _truncations(expansion, weights, depths)
+                assert truncations[-1] == expansion.log_xi(weights)
+                for m, truncated in zip(depths, truncations):
                     assert abs(truncated - exact) <= g.n * math.exp(-m)
                 # at full depth the tail is far below the reporting tolerance
-                assert abs(truncated - exact) <= 1e-9
+                assert abs(truncations[-1] - exact) <= 1e-9
             instances += 1
         assert instances >= 20
+
+
+def test_truncations_read_off_a_deeper_build_are_the_builds():
+    """Criterion 2's depth-m values are ClusterExpansion(polymers, m), bit for bit.
+
+    On the 6-cycle at criterion 2's beta, arcs of every length have
+    boundary 2, so clusters of total size 1, 2 and 3 each move the sum and a
+    wrong cut shows in the last bit.
+    """
+    g, parts, q = cycle(6), [tuple(range(6))], 2
+    alpha = certified_alpha(g, parts)
+    beta = 1.5 * kp_sufficient_beta(q, max(g.degrees), alpha)
+    polymers = enumerate_polymers(g, parts, max_size=g.n // 2)
+    weights = polymer_log_weights(g, parts, (0,), polymers, q, beta)
+    depths = (1, 2, 3, 4)
+    built = [ClusterExpansion(polymers, m).log_xi(weights) for m in depths]
+    assert len(set(built)) == 3
+    assert _truncations(ClusterExpansion(polymers, 5), weights, depths) == built
 
 
 def test_kp_slack_tail_against_exact_polymer_sum():
