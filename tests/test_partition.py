@@ -19,7 +19,7 @@ from conftest import (
 )
 from pottspart.cli import main
 from pottspart.errors import PreconditionError, VerificationError
-from pottspart.generate import random_regular
+from pottspart.generate import clique_chain, random_regular
 from pottspart.graphs import (
     Graph,
     is_connected,
@@ -412,6 +412,49 @@ class TestPartitionIntoExpanders:
             params = PartitionParams.from_graph(g, k)
             part = partition_into_expanders(g, params)
             assert verify_partition(g, part.parts, params).passed
+
+    @pytest.mark.parametrize(
+        "g, k, expected",
+        [
+            (
+                clique_chain(3, 50, 1),
+                4,
+                [
+                    (range(0, 50), (25, 49), (625, 9604), (1, 2451), (49, 50)),
+                    (range(50, 100), (25, 49), (625, 9604), (1, 1226), (49, 50)),
+                    (range(100, 150), (25, 49), (625, 9604), (1, 2451), (49, 50)),
+                ],
+            ),
+            (
+                random_regular(200, 3, 0),
+                3,
+                [(range(0, 200), (17, 144), (289, 82944), (0, 1), (1, 1))],
+            ),
+        ],
+        ids=["clique-chain(3,50,1)", "random-regular(200,3)"],
+    )
+    def test_pinned_partitions(self, g, k, expected):
+        # the order of the parts is left open: on a mirror-symmetric chain
+        # it follows the Fiedler vector's sign, which rounding decides
+        params = PartitionParams.from_graph(g, k)
+        part = partition_into_expanders(g, params)
+        assert part.ell == len(expected)
+        got = sorted(
+            (
+                p,
+                c,
+                cert.sweep_conductance,
+                cert.phi_inner_lb,
+                cert.phi_outer,
+                cert.min_degree_ratio,
+            )
+            for p, c, cert in zip(part.parts, part.cores, part.certificates)
+        )
+        assert got == [
+            (tuple(vs), tuple(vs), *(Fraction(*f) for f in fractions))
+            for vs, *fractions in expected
+        ]
+        assert verify_partition(g, part.parts, params).passed
 
 
 class TestResumedStates:

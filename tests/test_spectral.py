@@ -9,11 +9,12 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from pottspart.errors import PreconditionError
+import pottspart.spectral as spectral_module
+from pottspart.errors import PreconditionError, VerificationError
+from pottspart.generate import random_regular
 from pottspart.graphs import Graph, boundary_size, components, volume
 from pottspart.spectral import (
-    Spectrum,
-    _fix_signs,
+    _fix_sign,
     normalized_laplacian_spectrum,
     sweep_cut,
 )
@@ -35,6 +36,30 @@ def _random_connected(rng: random.Random, n: int) -> Graph:
             continue
         if len(components(g)) == 1:
             return g
+
+
+def _textbook_laplacian(g: Graph) -> np.ndarray:
+    """I - D^(-1/2) A D^(-1/2), symmetrised, as dense products."""
+    n = g.n
+    a = np.zeros((n, n))
+    for u, v in g.edges:
+        a[u, v] = a[v, u] = 1.0
+    d = 1.0 / np.sqrt(np.array(g.degrees, float))
+    lap = np.eye(n) - d[:, None] * a * d[None, :]
+    return (lap + lap.T) / 2.0
+
+
+def _fiedler_cases() -> list[Graph]:
+    # lambda_2 has multiplicity 5 on Petersen, 7 on K_8 and 2 on cycle(12);
+    # two triangles have lambda_2 = 0, spanned with lambda_1 by the
+    # component indicators
+    return [
+        petersen(),
+        complete(8),
+        cycle(12),
+        random_regular(50, 3, 0),
+        two_triangles(),
+    ]
 
 
 class TestSpectrum:
@@ -69,14 +94,16 @@ class TestSpectrum:
         s1 = normalized_laplacian_spectrum(g)
         s2 = normalized_laplacian_spectrum(g)
         assert s1.eigenvalues == s2.eigenvalues
-        assert np.array_equal(s1.eigenvectors, s2.eigenvectors)
+        assert np.array_equal(s1.fiedler, s2.fiedler)
 
-    def test_sign_convention(self):
-        g = _random_connected(random.Random(9), 8)
-        s = normalized_laplacian_spectrum(g)
-        for j in range(g.n):
-            col = s.eigenvectors[:, j]
-            assert col[int(np.argmax(np.abs(col)))] > 0
+    def test_fiedler_sign_convention(self):
+        # the first entry of largest magnitude is positive
+        graphs = _fiedler_cases() + [_random_connected(random.Random(9), 8)]
+        for g in graphs:
+            f = normalized_laplacian_spectrum(g).fiedler
+            big = np.abs(f).max()
+            first = next(i for i in range(g.n) if abs(f[i]) == big)
+            assert f[first] > 0
 
     def test_sign_fix_matches_the_column_loop(self):
         # reference: per column, negate when the first entry of largest
@@ -84,42 +111,43 @@ class TestSpectrum:
         rng = np.random.default_rng(7)
         for shape in ((2, 3), (5, 5), (7, 4)):
             v = rng.integers(-2, 3, size=shape).astype(float)
-            expected = v.copy()
             for j in range(v.shape[1]):
-                col = expected[:, j]
-                if col[int(np.argmax(np.abs(col)))] < 0:
-                    expected[:, j] = -col
-            assert np.array_equal(_fix_signs(v), expected)
-        tie = np.array([[-1.0, 1.0], [1.0, -1.0]])
-        assert np.array_equal(_fix_signs(tie), np.array([[1.0, 1.0], [-1.0, -1.0]]))
+                col = v[:, j].copy()
+                expected = -col if col[int(np.argmax(np.abs(col)))] < 0 else col
+                assert np.array_equal(_fix_sign(col), expected)
+        assert np.array_equal(_fix_sign(np.array([-1.0, 1.0])), [1.0, -1.0])
+        assert np.array_equal(_fix_sign(np.array([1.0, -1.0])), [1.0, -1.0])
 
-    def test_matches_the_textbook_laplacian_bit_for_bit(self):
-        # I - D^(-1/2) A D^(-1/2), symmetrised, as dense products
-        for g in (petersen(), _random_connected(random.Random(41), 11)):
-            n = g.n
-            a = np.zeros((n, n))
-            for u, v in g.edges:
-                a[u, v] = a[v, u] = 1.0
-            d = 1.0 / np.sqrt(np.array(g.degrees, float))
-            lap = np.eye(n) - d[:, None] * a * d[None, :]
-            lam, vec = np.linalg.eigh((lap + lap.T) / 2.0)
+    def test_eigenvalues_match_the_textbook_laplacian_bit_for_bit(self):
+        graphs = _fiedler_cases() + [_random_connected(random.Random(41), 11)]
+        for g in graphs:
+            lam = np.linalg.eigvalsh(_textbook_laplacian(g))
             s = normalized_laplacian_spectrum(g)
             assert s.eigenvalues == tuple(float(x) for x in lam)
-            assert np.array_equal(s.eigenvectors, _fix_signs(vec))
 
-    def test_eigen_equation(self):
-        g = petersen()
-        n = g.n
-        a = np.zeros((n, n))
-        for u, v in g.edges:
-            a[u, v] = a[v, u] = 1.0
-        d = 1.0 / np.sqrt(np.array(g.degrees, float))
-        lap = np.eye(n) - d[:, None] * a * d[None, :]
-        s = normalized_laplacian_spectrum(g)
-        for j in range(n):
-            lhs = lap @ s.eigenvectors[:, j]
-            rhs = s.eigenvalues[j] * s.eigenvectors[:, j]
-            assert np.allclose(lhs, rhs, atol=1e-9)
+    def test_fiedler_eigen_equation(self):
+        for g in _fiedler_cases():
+            lap = _textbook_laplacian(g)
+            s = normalized_laplacian_spectrum(g)
+            f = s.fiedler
+            assert f.shape == (g.n,)
+            assert np.max(np.abs(lap @ f - s.eigenvalues[1] * f)) <= 1e-9
+            assert abs(float(np.linalg.norm(f)) - 1.0) <= 1e-12
+            sqrt_d = np.sqrt(np.array(g.degrees, float))
+            assert abs(float(f @ sqrt_d)) <= 1e-9
+            assert np.array_equal(normalized_laplacian_spectrum(g).fiedler, f)
+
+    def test_a_perturbed_solve_fails_the_residual_check(self, monkeypatch):
+        solve = np.linalg.solve
+
+        def perturbed(a, b):
+            x = solve(a, b)
+            x[0] += 1e-3 * np.abs(x).max()
+            return x
+
+        monkeypatch.setattr(spectral_module.np.linalg, "solve", perturbed)
+        with pytest.raises(VerificationError, match="residual"):
+            normalized_laplacian_spectrum(random_regular(50, 3, 0))
 
     def test_isolated_vertex_rejected(self):
         g = Graph.from_edges([(0, 1)], n=3, allow_isolated=True)
