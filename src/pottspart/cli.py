@@ -4,11 +4,14 @@ Subcommands: ``generate`` (test instances), ``partition`` (certified
 expander partition), ``potts`` (approximate log Z), ``oracle`` (exact log Z
 by enumeration), ``verify`` (approximation vs. oracle).
 
-Exit codes: 0 success, 1 precondition or usage failure, 2 verification
-failure, 3 enumeration budget exceeded.  Budget flags apply to the one
-invocation that passes them.  All JSON output carries a
-``schemaVersion`` field and is byte-identical across repeated runs with the
-same inputs, flags, and seed.
+Exit codes: 0 success, 1 usage failure (argparse) and otherwise the
+``exit_code`` of the ``errors`` class raised: 1 precondition or parse
+failure, 2 verification failure, 3 enumeration budget exceeded; a
+``partition`` or ``verify`` run whose check fails also exits 2.  The
+argument parser is built once, at import, and serves every ``main`` call;
+budget flags apply to the one invocation that passes them.  All JSON
+output carries a ``schemaVersion`` field and is byte-identical across
+repeated runs with the same inputs, flags, and seed.
 """
 
 from __future__ import annotations
@@ -20,13 +23,7 @@ from dataclasses import fields
 from pathlib import Path
 
 from .budgets import Budgets
-from .errors import (
-    BudgetError,
-    ParseError,
-    PottspartError,
-    PreconditionError,
-    VerificationError,
-)
+from .errors import ParseError, PottspartError, PreconditionError
 from .generate import generate_graph
 from .graphs import Graph, parse_graph, serialize_graph
 from .oracle import exact_log_z
@@ -371,22 +368,16 @@ _COMMANDS = {
 }
 
 
+_PARSER = _build_parser()
+
+
 def main(argv: list[str] | None = None) -> int:
-    args = _build_parser().parse_args(argv)
+    args = _PARSER.parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
-    except BudgetError as exc:
+    except PottspartError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except VerificationError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (ParseError, PreconditionError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except PottspartError as exc:  # pragma: no cover - defensive catch-all
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+        return exc.exit_code
 
 
 if __name__ == "__main__":

@@ -1,4 +1,4 @@
-"""Exception hierarchy mapped to CLI exit codes."""
+"""Exception hierarchy; ``cli.main`` exits with the raised class's ``exit_code``."""
 
 
 class PottspartError(Exception):

@@ -2,6 +2,12 @@
 
 Vertices are 0..n-1. Graphs are simple (no self-loops, no parallel edges),
 undirected, and — unless explicitly permitted — free of isolated vertices.
+Every Graph is built by one private constructor, ``_graph``, from sorted
+neighbour tuples: it derives the edge list, degrees, edge count and
+neighbour bitmasks and owns the two structural refusals (no edges, an
+isolated vertex).  ``Graph.from_edges`` and ``parse_graph`` check each edge
+(with their own messages) before calling it; ``induced_subgraph`` calls it
+on the relabelled adjacency of its parent.
 All set quantities (volume, boundary, closure, cut counts, conductance) are
 exact integer/rational computations.
 """
@@ -60,32 +66,7 @@ class Graph:
             raise PreconditionError(
                 f"edge endpoint {max_v} out of range for declared n={n}"
             )
-        if n <= 0 or not edge_set:
-            if allow_isolated and n is not None and n > 0:
-                sorted_edges: tuple[tuple[int, int], ...] = ()
-                adj: tuple[tuple[int, ...], ...] = tuple(() for _ in range(n))
-                degrees = tuple(0 for _ in range(n))
-                masks = tuple(0 for _ in range(n))
-                return Graph(n, adj, sorted_edges, degrees, 0, masks)
-            raise PreconditionError("graph must have at least one edge")
-        neigh: list[list[int]] = [[] for _ in range(n)]
-        for u, v in edge_set:
-            neigh[u].append(v)
-            neigh[v].append(u)
-        if not allow_isolated:
-            for v in range(n):
-                if not neigh[v]:
-                    raise PreconditionError(f"vertex {v} is isolated")
-        adj = tuple(tuple(sorted(ns)) for ns in neigh)
-        degrees = tuple(len(ns) for ns in adj)
-        masks_l = []
-        for v in range(n):
-            mk = 0
-            for u in adj[v]:
-                mk |= 1 << u
-            masks_l.append(mk)
-        sorted_edges = tuple(sorted(edge_set))
-        return Graph(n, adj, sorted_edges, degrees, len(edge_set), tuple(masks_l))
+        return _graph(_sorted_neighbours(n, edge_set), allow_isolated)
 
     @property
     def max_degree(self) -> int:
@@ -96,6 +77,37 @@ class Graph:
 
     def has_edge(self, u: int, v: int) -> bool:
         return bool(self.adj_masks[u] >> v & 1)
+
+
+def _graph(adj: tuple[tuple[int, ...], ...], allow_isolated: bool) -> Graph:
+    """The one Graph constructor, from sorted neighbour tuples.
+
+    adj[v] lists v's neighbours in increasing order, and every edge appears
+    in both endpoints' tuples.  Refuses a graph without edges (unless
+    allow_isolated and n >= 1) and an isolated vertex (unless
+    allow_isolated).
+    """
+    degrees = tuple(len(ns) for ns in adj)
+    m = sum(degrees) // 2
+    if m == 0 and not (allow_isolated and adj):
+        raise PreconditionError("graph must have at least one edge")
+    if not allow_isolated and 0 in degrees:
+        raise PreconditionError(f"vertex {degrees.index(0)} is isolated")
+    edges = tuple((u, v) for u, ns in enumerate(adj) for v in ns if v > u)
+    # the neighbours are distinct, so summing their bits is or-ing them
+    masks = tuple(sum(1 << v for v in ns) for ns in adj)
+    return Graph(len(adj), adj, edges, degrees, m, masks)
+
+
+def _sorted_neighbours(
+    n: int, edge_set: Iterable[tuple[int, int]]
+) -> tuple[tuple[int, ...], ...]:
+    """Sorted neighbour tuples of vertices 0..n-1 from distinct edges."""
+    neigh: list[list[int]] = [[] for _ in range(n)]
+    for u, v in edge_set:
+        neigh[u].append(v)
+        neigh[v].append(u)
+    return tuple(tuple(sorted(ns)) for ns in neigh)
 
 
 def _vertex_tuple(g: Graph, s: VertexSet) -> tuple[int, ...]:
@@ -175,8 +187,9 @@ def parse_graph(text: str) -> Graph:
         if e in edge_set:
             raise ParseError(f"line {lineno}: duplicate edge {u} {v}")
         edge_set.add(e)
+    n = declared_n if declared_n is not None else 1 + max(v for _, v in edge_set)
     try:
-        return Graph.from_edges(edge_set, n=declared_n)
+        return _graph(_sorted_neighbours(n, edge_set), allow_isolated=False)
     except PreconditionError as exc:
         raise ParseError(str(exc)) from None
 
@@ -262,17 +275,7 @@ def induced_subgraph(
         raise PreconditionError("induced subgraph of the empty set")
     index = {v: i for i, v in enumerate(vs)}
     adj = tuple(tuple(index[u] for u in g.adj[v] if u in index) for v in vs)
-    degrees = tuple(len(ns) for ns in adj)
-    m = sum(degrees) // 2
-    if not allow_isolated:
-        if m == 0:
-            raise PreconditionError("graph must have at least one edge")
-        if 0 in degrees:
-            raise PreconditionError(f"vertex {degrees.index(0)} is isolated")
-    edges = tuple((i, j) for i, ns in enumerate(adj) for j in ns if j > i)
-    # the neighbours are distinct, so summing their bits is or-ing them
-    masks = tuple(sum(1 << j for j in ns) for ns in adj)
-    return Graph(len(vs), adj, edges, degrees, m, masks), vs
+    return _graph(adj, allow_isolated), vs
 
 
 def components(g: Graph) -> list[tuple[int, ...]]:

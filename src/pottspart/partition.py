@@ -250,9 +250,11 @@ def partition_into_expanders(
 ) -> ExpanderPartition:
     """Partition V into parts that induce expanders, with exact certificates.
 
-    Raises when the spectral precondition fails, when the iteration budget
-    is exhausted, or when a certified invariant breaks (the latter signals
-    an implementation bug, never an unlucky input).
+    The parts are listed in increasing order of their smallest vertex, each
+    with its core and certificate.  Raises when the spectral precondition
+    fails, when the iteration budget is exhausted, or when a certified
+    invariant breaks (the latter signals an implementation bug, never an
+    unlucky input).
 
     _resume is a testing hook: a (parts, cores) pair to continue from
     instead of the single all-vertex part. The state is validated and
@@ -530,11 +532,14 @@ def partition_into_expanders(
             )
         )
 
+    # list the parts by smallest vertex, so the order does not hang on the
+    # sign that float rounding gives a Fiedler vector of a symmetric graph
+    order = sorted(range(len(parts)), key=lambda i: min(parts[i]))
     return ExpanderPartition(
-        parts=tuple(tuple(sorted(p)) for p in parts),
-        cores=tuple(tuple(sorted(c)) for c in cores),
+        parts=tuple(tuple(sorted(parts[i])) for i in order),
+        cores=tuple(tuple(sorted(cores[i])) for i in order),
         ell=len(parts),
-        certificates=tuple(certificates),
+        certificates=tuple(certificates[i] for i in order),
         iterations=dict(counters),
     )
 
@@ -622,9 +627,10 @@ def verify_partition(
                 )
                 inner_ok = brute >= inner_threshold
             else:
-                sw = _sweep_in_part(g, set(vs), params.spectrum)
-                assert sw is not None
-                inner_lb = _inner_lower_bound(sw[1])
+                # a part that is all of V induces g relabelled by the
+                # identity, whose spectrum params already holds
+                sc = sweep_cut(sub, params.spectrum if sub.n == g.n else None)
+                inner_lb = _inner_lower_bound(sc.conductance)
                 inner_ok = inner_lb >= inner_threshold
         reports.append(
             PartReport(

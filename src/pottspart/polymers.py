@@ -702,10 +702,6 @@ def truncation_depth(
 @dataclass(frozen=True)
 class TruncatedXi:
     log_xi: float
-    eps_bound: float
-    depth: int
-    cluster_count: int
-    polymer_count: int
 
 
 def truncated_log_xi(
@@ -722,7 +718,7 @@ def truncated_log_xi(
     """Relative xi-approximation to the polymer partition function.
 
     Evaluates ``expansion`` under the ground state psi: its polymers are the
-    model and its ``max_total_size`` is the reported depth.  Without one,
+    model and its ``max_total_size`` is the depth.  Without one,
     the expansion is built at :func:`truncation_depth`; a supplied
     expansion shallower than that depth is refused.  Refuses too (rather
     than answering) when the summability condition or the per-polymer
@@ -740,10 +736,4 @@ def truncated_log_xi(
     model = expansion.polymers
     lws = polymer_log_weights(g, parts, psi, model, q, beta)
     check_weight_bounds(model, lws, q, beta, alpha)
-    return TruncatedXi(
-        log_xi=expansion.log_xi(lws),
-        eps_bound=xi,
-        depth=expansion.max_total_size,
-        cluster_count=expansion.cluster_count,
-        polymer_count=len(model),
-    )
+    return TruncatedXi(log_xi=expansion.log_xi(lws))

@@ -13,6 +13,13 @@ import pytest
 
 import pottspart.cli as cli_mod
 from pottspart.cli import main
+from pottspart.errors import (
+    BudgetError,
+    ParseError,
+    PottspartError,
+    PreconditionError,
+    VerificationError,
+)
 from pottspart.generate import generate_graph
 from pottspart.graphs import parse_graph, serialize_graph
 from pottspart.oracle import exact_log_z
@@ -313,3 +320,63 @@ class TestEndToEnd:
         second = self._run(argv)
         assert first.returncode == second.returncode == 0
         assert first.stdout == second.stdout
+
+
+class TestExitCodeTable:
+    """main's exit code is the exit_code of the error class raised."""
+
+    @pytest.mark.parametrize(
+        "error, code",
+        [
+            (PreconditionError, 1),
+            (ParseError, 1),
+            (VerificationError, 2),
+            (BudgetError, 3),
+            (PottspartError, 1),
+        ],
+    )
+    def test_each_class_gives_its_exit_code(
+        self, error, code, bridged_triangles_file, capsys, monkeypatch
+    ):
+        def failing(args):
+            raise error("stubbed failure")
+
+        monkeypatch.setitem(cli_mod._COMMANDS, "oracle", failing)
+        rc = main(["oracle", "--q", "2", "--beta", "1", bridged_triangles_file])
+        assert rc == error.exit_code == code
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == ["error: stubbed failure"]
+
+
+class TestParserBuiltOnce:
+    def test_main_serves_without_building_a_parser(
+        self, bridged_triangles_file, capsys, monkeypatch
+    ):
+        def no_rebuild():
+            raise AssertionError("main rebuilt the argument parser")
+
+        monkeypatch.setattr(cli_mod, "_build_parser", no_rebuild)
+        base = ["potts", *GOOD_PARTS_ARGS, bridged_triangles_file]
+        # the json request comes last too: an override must not outlive its call
+        for argv in (
+            base,
+            [*base, "--format", "text"],
+            [*base, "--budget-clusters", "100000"],
+            base,
+        ):
+            rc = main(argv)
+            captured = capsys.readouterr()
+            fresh = subprocess.run(
+                [sys.executable, "-m", "pottspart.cli", *argv],
+                capture_output=True,
+                text=True,
+                timeout=300,
+            )
+            assert (rc, captured.out, captured.err) == (
+                fresh.returncode,
+                fresh.stdout,
+                fresh.stderr,
+            )
+            assert rc == 0
+            assert ("warning:" in captured.err) == ("--budget-clusters" in argv)

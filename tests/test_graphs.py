@@ -129,6 +129,86 @@ class TestParse:
         assert parse_graph(serialize_graph(g)) == g
 
 
+class TestOneConstructor:
+    """parse_graph, from_edges and induced_subgraph build the same Graph."""
+
+    def test_three_routes_give_equal_graphs(self):
+        rng = random.Random(31)
+        built = 0
+        for _ in range(200):
+            g = _random_graph(rng, rng.randint(2, 12), rng.choice((0.3, 0.6)))
+            if g is None:
+                continue
+            # edges in random order and orientation, under an "n m" header
+            # so that no edge line can read as one
+            edges = [(v, u) if rng.random() < 0.5 else (u, v) for u, v in g.edges]
+            rng.shuffle(edges)
+            text = "".join(f"{u} {v}\n" for u, v in [(g.n, g.m), *edges])
+            assert parse_graph(text) == g
+            assert Graph.from_edges(edges, n=g.n) == g
+            assert induced_subgraph(g, range(g.n)) == (g, tuple(range(g.n)))
+            built += 1
+        assert built > 100
+
+    def test_edgeless_graph_when_isolated_vertices_are_allowed(self):
+        g = Graph.from_edges([], n=3, allow_isolated=True)
+        assert (g.n, g.m, g.edges, g.degrees, g.adj_masks) == (
+            3, 0, (), (0, 0, 0), (0, 0, 0)
+        )
+        assert induced_subgraph(cycle(5), [0, 2], allow_isolated=True)[0] == (
+            Graph.from_edges([], n=2, allow_isolated=True)
+        )
+
+    @pytest.mark.parametrize(
+        "build, error, message",
+        [
+            (lambda: Graph.from_edges([]), PreconditionError,
+             "graph must have at least one edge"),
+            (lambda: Graph.from_edges([], n=0, allow_isolated=True),
+             PreconditionError, "graph must have at least one edge"),
+            (lambda: Graph.from_edges([], n=3), PreconditionError,
+             "graph must have at least one edge"),
+            (lambda: Graph.from_edges([(0, 1)], n=3), PreconditionError,
+             "vertex 2 is isolated"),
+            (lambda: Graph.from_edges([(0, 2)]), PreconditionError,
+             "vertex 1 is isolated"),
+            (lambda: Graph.from_edges([(1, 1)]), PreconditionError,
+             "self-loop at vertex 1"),
+            (lambda: Graph.from_edges([(-1, 2)]), PreconditionError,
+             "negative vertex id in edge -1 2"),
+            (lambda: Graph.from_edges([(0, 1), (1, 0)]), PreconditionError,
+             "duplicate edge 0 1"),
+            (lambda: Graph.from_edges([(0, 3)], n=3), PreconditionError,
+             "edge endpoint 3 out of range for declared n=3"),
+            (lambda: parse_graph("0 2\n"), ParseError, "vertex 1 is isolated"),
+            (lambda: parse_graph("4 2\n0 1\n1 2\n"), ParseError,
+             "vertex 3 is isolated"),
+            (lambda: parse_graph("0 1\n2 2\n"), ParseError,
+             "line 2: self-loop 2 2"),
+            (lambda: parse_graph("0 1\n1 2\n1 0\n"), ParseError,
+             "line 3: duplicate edge 1 0"),
+            (lambda: parse_graph("0 -1\n"), ParseError,
+             "line 1: negative vertex id in '0 -1'"),
+            (lambda: parse_graph("0 1 2\n"), ParseError,
+             "line 1: expected two integers, got '0 1 2'"),
+            (lambda: parse_graph(""), ParseError, "no edges: empty graph text"),
+            (lambda: parse_graph("3 0\n"), ParseError,
+             "no edges: header present but zero edge lines"),
+            (lambda: induced_subgraph(cycle(5), [0, 1, 3]), PreconditionError,
+             "vertex 2 is isolated"),
+            (lambda: induced_subgraph(cycle(5), [0, 2]), PreconditionError,
+             "graph must have at least one edge"),
+            (lambda: induced_subgraph(cycle(5), []), PreconditionError,
+             "induced subgraph of the empty set"),
+        ],
+    )
+    def test_refusal_messages(self, build, error, message):
+        with pytest.raises(error) as got:
+            build()
+        assert type(got.value) is error
+        assert str(got.value) == message
+
+
 class TestSetQuantities:
     def test_volume_complete4(self):
         g = complete(4)

@@ -1,6 +1,7 @@
 """Tests for the expander partitioner and its exact certificates."""
 
 import itertools
+import json
 import math
 import random
 from fractions import Fraction
@@ -225,6 +226,39 @@ class TestOneSpectrumPerGraph:
         spectra.clear()
         approx_log_z_sse(g, 2, 2, need * 1.01, 0.7)
         assert spectra == [8]
+
+
+class TestCanonicalPartOrder:
+    """Parts are listed by smallest vertex, whatever the Fiedler sign."""
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_partition_bytes_do_not_hang_on_the_fiedler_sign(
+        self, seed, tmp_path, capsys, monkeypatch
+    ):
+        # on a mirror-symmetric chain float rounding picks the sign of the
+        # Fiedler vector; negating it must not change the output
+        g = clique_chain(3, 50, 1)
+        perm = list(range(g.n))
+        random.Random(seed).shuffle(perm)
+        path = tmp_path / "chain.el"
+        path.write_text(
+            serialize_graph(Graph.from_edges([(perm[u], perm[v]) for u, v in g.edges]))
+        )
+        assert main(["partition", "--k", "4", str(path)]) == 0
+        plain = capsys.readouterr().out
+        fix_sign = spectral_module._fix_sign
+
+        def flipped(x):
+            fix_sign(x)
+            x *= -1
+            return x
+
+        monkeypatch.setattr(spectral_module, "_fix_sign", flipped)
+        assert main(["partition", "--k", "4", str(path)]) == 0
+        assert capsys.readouterr().out == plain
+        parts = json.loads(plain)["parts"]
+        assert len(parts) > 1
+        assert [p[0] for p in parts] == sorted(p[0] for p in parts)
 
 
 class TestStrongestAttachment:
@@ -673,6 +707,28 @@ class TestVerifyPartition:
         # parts above the brute-force cutoff use the sweep lower bound
         assert all(r.brute_inner is None for r in report.parts)
         assert all(r.inner_lower_bound is not None for r in report.parts)
+
+    def test_each_part_is_induced_once(self, monkeypatch):
+        # the sweep bound comes from the part's one induced subgraph and
+        # equals the partitioner's own sweep of that part
+        g = bridged_cliques(40)
+        p = PartitionParams.from_graph(g, 3)
+        parts = [range(40), range(40, 80)]
+        expected = [
+            partition_module._sweep_in_part(g, set(part))[1] ** 2 / 4
+            for part in parts
+        ]
+        induced = []
+        real = partition_module.induced_subgraph
+
+        def counting(g, s, allow_isolated=False):
+            induced.append(tuple(s))
+            return real(g, s, allow_isolated=allow_isolated)
+
+        monkeypatch.setattr(partition_module, "induced_subgraph", counting)
+        report = verify_partition(g, parts, p)
+        assert induced == [tuple(part) for part in parts]
+        assert [r.inner_lower_bound for r in report.parts] == expected
 
     def test_whole_graph_fails_inner_check_for_k3_dumbbell(self):
         # the dumbbell is not an inner expander at the k = 3 threshold:

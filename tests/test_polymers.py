@@ -640,9 +640,6 @@ class TestTruncatedXi:
         res = truncated_log_xi(g, parts, (0, 1), 2, beta, xi, alpha)
         exact = exact_log_xi(g, parts, (0, 1), 2, beta)
         assert abs(res.log_xi - exact) <= xi
-        assert res.eps_bound == xi
-        assert res.depth == truncation_depth(g.n, xi, 2, g.max_degree, beta, alpha)
-        assert res.polymer_count > 0 and res.cluster_count > 0
 
     def test_refuses_when_condition_unverified(self):
         g = triangles_with_bridge()
@@ -677,9 +674,6 @@ class TestTruncatedXi:
         c = truncated_log_xi(g, parts, (0, 0), 3, beta, xi, alpha, expansion=exp)
         lws = polymer_log_weights(g, parts, (0, 0), polys, 3, beta)
         assert c.log_xi == exp.log_xi(lws)
-        assert c.depth == exp.max_total_size == depth + 1
-        assert c.cluster_count == exp.cluster_count > b.cluster_count
-        assert c.polymer_count == len(polys)
 
     def test_refuses_a_shallower_expansion(self):
         # depth 1 where xi = 1e-3 on 6 vertices needs depth 4 (rho = 3.02)
