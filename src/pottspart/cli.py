@@ -2,7 +2,7 @@
 
 Subcommands: ``generate`` (test instances), ``partition`` (certified
 expander partition), ``potts`` (approximate log Z), ``oracle`` (exact log Z
-by enumeration), ``verify`` (approximation vs. oracle).
+from the exact colouring histogram), ``verify`` (approximation vs. oracle).
 
 Exit codes: 0 success, 1 usage failure (argparse) and otherwise the
 ``exit_code`` of the ``errors`` class raised: 1 precondition or parse
@@ -174,7 +174,7 @@ def _build_parser() -> _Parser:
     sub.add_parser(
         "oracle",
         parents=[graph_in, fmt, model, state_budget],
-        help="exact log Z by full enumeration",
+        help="exact log Z from the exact colouring histogram",
     )
     sub.add_parser(
         "verify",

@@ -139,14 +139,11 @@ def vertices_of_mask(mask: int) -> tuple[int, ...]:
 def parse_graph(text: str) -> Graph:
     """Parse an edge-list: one "u v" pair per line.
 
-    Blank lines and lines starting with '#' are ignored.  An optional first
-    data line may be a header "n m"; it is recognized as a header exactly when
-    interpreting it that way is consistent (exactly m subsequent edge lines,
-    every endpoint < n).  The canonical serializer emits no header and always
-    emits vertex 0 in the first edge, so serialized graphs never parse as
-    headered input.
+    Blank lines and lines starting with '#' are ignored; every other line is
+    an edge.  The vertices are 0..n-1 for the largest id n-1 named, and an
+    isolated vertex is refused, so the text needs no "n m" header.
     """
-    rows: list[tuple[int, int, int]] = []  # (lineno, a, b)
+    edge_set: set[tuple[int, int]] = set()
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -157,37 +154,22 @@ def parse_graph(text: str) -> Graph:
                 f"line {lineno}: expected two integers, got {line!r}"
             )
         try:
-            a, b = int(tokens[0]), int(tokens[1])
+            u, v = int(tokens[0]), int(tokens[1])
         except ValueError:
             raise ParseError(
                 f"line {lineno}: expected two integers, got {line!r}"
             ) from None
-        if a < 0 or b < 0:
+        if u < 0 or v < 0:
             raise ParseError(f"line {lineno}: negative vertex id in {line!r}")
-        rows.append((lineno, a, b))
-    if not rows:
-        raise ParseError("no edges: empty graph text")
-
-    head_n, head_m = rows[0][1], rows[0][2]
-    body = rows[1:]
-    declared_n: int | None = None
-    if head_n >= 1 and head_m == len(body) and all(
-        u < head_n and v < head_n for _, u, v in body
-    ):
-        declared_n = head_n
-        rows = body
-        if not rows:
-            raise ParseError("no edges: header present but zero edge lines")
-
-    edge_set: set[tuple[int, int]] = set()
-    for lineno, u, v in rows:
         if u == v:
             raise ParseError(f"line {lineno}: self-loop {u} {v}")
         e = (u, v) if u < v else (v, u)
         if e in edge_set:
             raise ParseError(f"line {lineno}: duplicate edge {u} {v}")
         edge_set.add(e)
-    n = declared_n if declared_n is not None else 1 + max(v for _, v in edge_set)
+    if not edge_set:
+        raise ParseError("no edges: empty graph text")
+    n = 1 + max(v for _, v in edge_set)
     try:
         return _graph(_sorted_neighbours(n, edge_set), allow_isolated=False)
     except PreconditionError as exc:

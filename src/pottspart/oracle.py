@@ -1,11 +1,18 @@
-"""Brute-force ground truth.
+"""Exact ground truth.
 
-Everything here is computed by exhaustive enumeration under hard budgets;
-nothing is approximated.  These functions are the reference values the rest
-of the package is tested against.
+Everything here is exact and computed under hard budgets; nothing is
+approximated.  These functions are the reference values the rest of the
+package is tested against.
 
-The colouring enumeration splits the vertices into a low block and a high
-rest.  The colourings of the first L vertices, q**L <= 2**15 of them, are
+:func:`exact_log_z` builds the exact histogram of monochromatic edge counts
+by a frontier dynamic program (:func:`_mono_histogram`), whose table stays
+small on graphs of small pathwidth such as cycles and random 3-regular
+graphs.  The state budget still counts all q**n colourings, so what it
+refuses does not depend on the graph's shape.
+
+What the table cannot hold, and the restricted sums behind
+:func:`exact_log_z_psi` and :func:`exact_log_z_star`, is enumerated in
+blocks.  The colourings of the first L vertices, q**L <= 2**15 of them, are
 laid out once as numpy vectors, and a Python loop runs over the q**(n-L)
 colourings of the others.  Each step adds a scalar for the edges among the
 high vertices and, for each edge between the two sides, one comparison of a
@@ -84,22 +91,29 @@ def _low_block(n: int, q: int) -> np.ndarray:
     return cols
 
 
-def _mono_blocks(n: int, edges: Iterable[tuple[int, int]], q: int, cols: np.ndarray):
+def _mono_blocks(
+    n: int,
+    edges: Iterable[tuple[int, int]],
+    q: int,
+    cols: np.ndarray,
+    base: np.ndarray | None = None,
+):
     """Yield (high, mono) for each colouring of the high vertices.
 
-    ``cols`` is :func:`_low_block`'s table for its L low vertices; the high
-    vertices are L..n-1, and ``high[i]`` is the colour of vertex L+i.  The
-    colourings come in ``itertools.product`` order of their reversed digits.
-    ``mono[s]`` counts the monochromatic edges of the colouring made of low
-    state s and ``high``: the low-low count is one precomputed vector, the
-    high-high count a scalar, and each low-high edge (a, b) adds the
-    indicator ``cols[a] == high[b - L]``.  So one high step costs a vector
-    operation per low-high edge on q**L entries, with no division, and the
-    q**n states cost q**(n-L) such steps.  ``mono`` is one buffer that the
-    next step overwrites.  Edges may be given either way round.
+    ``cols`` is a table of low states: row v gives low vertex v's colour in
+    each state, as in :func:`_low_block`; the high vertices are L..n-1, and
+    ``high[i]`` is the colour of vertex L+i.  The colourings come in
+    ``itertools.product`` order of their reversed digits.  ``mono[s]`` counts
+    the monochromatic edges of the colouring made of low state s and
+    ``high``, plus ``base[s]`` when given: the low-low count is one
+    precomputed vector, the high-high count a scalar, and each low-high edge
+    (a, b) adds the indicator ``cols[a] == high[b - L]``.  So one high step
+    costs a vector operation per low-high edge on the table's entries, with
+    no division, and there are q**(n-L) steps.  ``mono`` is one buffer that
+    the next step overwrites.  Edges may be given either way round.
     """
     low, size = cols.shape
-    inner = np.zeros(size, dtype=np.int32)
+    inner = np.zeros(size, dtype=np.int32) if base is None else base.copy()
     top: list[tuple[int, int]] = []  # high-high edges, as high offsets
     cross: list[tuple[np.ndarray, int]] = []  # (low column, high offset)
     for u, v in edges:
@@ -119,33 +133,105 @@ def _mono_blocks(n: int, edges: Iterable[tuple[int, int]], q: int, cols: np.ndar
         yield high, mono
 
 
-def _log_z_component(n: int, edges: Sequence[tuple[int, int]], q: int, beta: float) -> float:
-    hist = np.zeros(len(edges) + 1, dtype=np.int64)
-    for _, mono in _mono_blocks(n, edges, q, _low_block(n, q)):
-        hist += np.bincount(mono, minlength=len(edges) + 1)
-    return log_count_sum(hist.tolist(), beta)
+def _mono_histogram(g: Graph, q: int) -> np.ndarray:
+    """hist[j] = the number of colourings with j monochromatic edges.
+
+    A frontier dynamic program.  Vertices are visited greedily: next is the
+    one that leaves the smallest frontier (the visited vertices with an
+    unvisited neighbour), then the fewest edges between visited and
+    unvisited vertices, then the smallest label.  The table holds one
+    entry per (frontier colouring, monochromatic edges so far) with its
+    multiplicity: row i of ``cols`` is frontier vertex ``frontier[i]``'s
+    colour in each entry.  Visiting a vertex repeats each entry once per
+    colour and counts its edges to the frontier; a vertex whose neighbours
+    are all visited leaves, and entries that then agree merge.  The table
+    never holds more than _BLOCK entries: when the next vertex would pass
+    that, the unvisited vertices are enumerated by :func:`_mono_blocks` over
+    the table, with the multiplicities as weights.  Counts are int64, so
+    q**n must stay below 2**63.
+    """
+    adj = g.adj_masks
+    visited = 0
+    frontier: list[int] = []
+    cols = np.empty((0, 1), dtype=np.uint8 if q <= 256 else np.uint16)
+    mono = np.zeros(1, dtype=np.int32)
+    mult = np.ones(1, dtype=np.int64)
+    unvisited = list(range(g.n))
+    while unvisited and len(mult) * q <= _BLOCK:
+        # a frontier vertex whose one unvisited neighbour is u leaves with u
+        closing = [adj[w] & ~visited for w in frontier]
+        v = min(
+            unvisited,
+            key=lambda u: (
+                bool(adj[u] & ~visited) - closing.count(1 << u),
+                (adj[u] & ~visited).bit_count() - (adj[u] & visited).bit_count(),
+                u,
+            ),
+        )
+        unvisited.remove(v)
+        visited |= 1 << v
+        size = len(frontier)
+        grown = np.empty((size + 1, len(mult) * q), dtype=cols.dtype)
+        grown[:size] = np.repeat(cols, q, axis=1)
+        grown[size] = np.tile(np.arange(q, dtype=cols.dtype), len(mult))
+        cols = grown
+        mono = np.repeat(mono, q)
+        for i, w in enumerate(frontier):
+            if adj[v] >> w & 1:
+                mono += cols[i] == cols[size]
+        mult = np.repeat(mult, q)
+        frontier.append(v)
+        keep = [i for i, w in enumerate(frontier) if adj[w] & ~visited]
+        if len(keep) == len(frontier):
+            continue
+        frontier = [frontier[i] for i in keep]
+        cols = cols[keep]
+        key = mono.astype(np.int64)
+        for row in cols:
+            key = key * q + row
+        order = np.argsort(key)
+        key = key[order]
+        first = np.flatnonzero(np.concatenate(([True], key[1:] != key[:-1])))
+        pick = order[first]
+        cols, mono = cols[:, pick], mono[pick]
+        mult = np.add.reduceat(mult[order], first)
+    # the unvisited vertices follow the frontier rows, in ascending order
+    label = {w: i for i, w in enumerate(frontier + unvisited)}
+    rest = [
+        (label[u], label[w])
+        for u in unvisited
+        for w in g.adj[u]
+        if visited >> w & 1 or w < u
+    ]
+    hist = np.zeros(g.m + 1, dtype=np.int64)
+    for _, total in _mono_blocks(len(label), rest, q, cols, mono):
+        np.add.at(hist, total, mult)
+    return hist
 
 
 def exact_log_z(
     g: Graph, q: int, beta: float, *, budget: int = STATE_BUDGET
 ) -> float:
-    """log of the full colouring sum, by exhaustive enumeration.
+    """log of the full colouring sum, from its exact monochromatic histogram.
 
-    Factorizes over connected components, so the state budget applies to
-    the total per-component enumeration cost.
+    Factorizes over connected components; the state budget applies to the
+    total number of colourings of the components, q**|component| each,
+    whatever the dynamic program actually visits.
     """
     check_q_beta(q, beta, zero_beta_ok=True)
     comps = components(g)
     cost = sum(q ** len(c) for c in comps)
     if cost > budget:
         raise BudgetError(f"enumeration needs {cost} states, over budget {budget}")
+    if cost >> 63:
+        raise BudgetError(f"{cost} colourings overflow the 64-bit histogram counts")
     total = 0.0
     for comp in comps:
         if len(comp) == 1:
             total += math.log(q)
             continue
         sub, _ = induced_subgraph(g, comp)
-        total += _log_z_component(sub.n, sub.edges, q, beta)
+        total += log_count_sum(_mono_histogram(sub, q).tolist(), beta)
     return total
 
 

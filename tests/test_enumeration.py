@@ -1,16 +1,17 @@
-"""The block enumerations against plain per-state references.
+"""The enumerations against plain per-state references.
 
-The colouring histogram of the exact oracle is checked against
-``itertools.product``, and every consumer of ``graphs.subset_scan`` against
-the Gray-code scan the block scan replaced, which is kept here as the
-reference.  The cases straddle the low/high split: at the real block sizes
-the larger instances pass it, and a patched smaller block puts the split
-inside small graphs.
+The colouring histogram of the exact oracle, a frontier dynamic program that
+hands what it cannot hold to a block enumeration, is checked against
+``itertools.product`` and against closed forms; every consumer of
+``graphs.subset_scan`` against the Gray-code scan the block scan replaced,
+which is kept here as the reference.  A patched smaller block sends small
+graphs through the block enumeration.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -18,7 +19,8 @@ import numpy as np
 import pytest
 
 from pottspart import graphs, oracle
-from pottspart.errors import PreconditionError
+from pottspart.budgets import STATE_BUDGET
+from pottspart.errors import BudgetError, PreconditionError
 from pottspart.generate import random_regular
 from pottspart.graphs import Graph, is_alpha_expander, subset_scan, vertices_of_mask
 from pottspart.oracle import (
@@ -29,6 +31,7 @@ from pottspart.oracle import (
     k_way_expansion,
     min_conductance,
 )
+from pottspart.util import log_count_sum
 
 from conftest import complete, cube, cycle, petersen, triangles_with_bridge, two_triangles
 
@@ -39,10 +42,8 @@ from conftest import complete, cube, cycle, petersen, triangles_with_bridge, two
 
 
 def _histogram(n, edges, q):
-    hist = np.zeros(len(edges) + 1, dtype=np.int64)
-    for _, mono in oracle._mono_blocks(n, edges, q, oracle._low_block(n, q)):
-        hist += np.bincount(mono, minlength=len(edges) + 1)
-    return hist.tolist()
+    g = Graph.from_edges(edges, n=n, allow_isolated=True)
+    return oracle._mono_histogram(g, q).tolist()
 
 
 def _reference_histogram(n, edges, q):
@@ -58,7 +59,27 @@ def _random_edges(rng, n, m):
     return [(u, v) if rng.random() < 0.5 else (v, u) for u, v in pairs]
 
 
-# q=2 splits after 15 vertices, q=3 after 9, q=4 after 7
+def _random_tree_edges(rng, n):
+    """A random tree on n shuffled labels, edges given either way round."""
+    label = list(range(n))
+    rng.shuffle(label)
+    edges = [(label[v], label[rng.randrange(v)]) for v in range(1, n)]
+    return [(u, v) if rng.random() < 0.5 else (v, u) for u, v in edges]
+
+
+def _spy_mono_blocks(monkeypatch):
+    """Record (high vertices, table entries) of each block enumeration."""
+    calls = []
+    real = oracle._mono_blocks
+
+    def spy(n, edges, q, cols, base=None):
+        calls.append((n - cols.shape[0], cols.shape[1]))
+        return real(n, edges, q, cols, base)
+
+    monkeypatch.setattr(oracle, "_mono_blocks", spy)
+    return calls
+
+
 @pytest.mark.parametrize(
     "q, n",
     [(2, 14), (2, 15), (2, 16), (2, 17), (3, 8), (3, 9), (3, 10), (3, 11), (4, 7), (4, 8)],
@@ -69,14 +90,80 @@ def test_mono_histogram_matches_product(q, n):
     assert _histogram(n, edges, q) == _reference_histogram(n, edges, q)
 
 
+@pytest.mark.parametrize("q", [2, 3])
+@pytest.mark.parametrize("n", [6, 7, 8, 9])
+def test_complete_graph_histogram_matches_product(n, q):
+    # nothing leaves the frontier before the last vertex, so nothing merges
+    edges = list(itertools.combinations(range(n), 2))
+    assert _histogram(n, edges, q) == _reference_histogram(n, edges, q)
+
+
+@pytest.mark.parametrize("q, n", [(2, 12), (2, 15), (3, 9), (3, 10)])
+def test_tree_histogram_matches_product(q, n):
+    edges = _random_tree_edges(random.Random(n), n)
+    assert _histogram(n, edges, q) == _reference_histogram(n, edges, q)
+
+
 def test_mono_histogram_disconnected_with_isolated_vertices():
-    # two components, vertex 3 isolated in the low block and vertex 16 in
-    # the high rest, edges given both ways round
+    # two components and the isolated vertices 3 and 16, edges given both
+    # ways round
     n = 17
     edges = [(1, 0), (2, 1), (0, 2), (4, 5), (15, 4), (14, 15), (5, 14)]
     edges += [(6, 7), (8, 7), (9, 8), (10, 9), (11, 10), (12, 11), (13, 12)]
-    assert oracle._low_block(n, 2).shape[0] == 15
     assert _histogram(n, edges, 2) == _reference_histogram(n, edges, 2)
+
+
+def _poly_mul(a, b):
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out
+
+
+def _poly_pow(a, k):
+    out = [1]
+    for _ in range(k):
+        out = _poly_mul(out, a)
+    return out
+
+
+def _largest_n(q):
+    """The largest n whose q**n colourings fit the state budget."""
+    return int(math.log(STATE_BUDGET, q) + 1e-9)
+
+
+@pytest.mark.parametrize("q", [2, 3])
+def test_cycle_histograms_match_closed_form(q):
+    # coefficients of (x+q-1)^n + (q-1)(x-1)^n
+    top = _largest_n(q)
+    for n in range(3, top + 1):
+        expected = _poly_pow([q - 1, 1], n)
+        for j, c in enumerate(_poly_pow([-1, 1], n)):
+            expected[j] += (q - 1) * c
+        assert oracle._mono_histogram(cycle(n), q).tolist() == expected, n
+    # the budget still counts q**n colourings, whatever the program visits
+    exact_log_z(cycle(top), q, 0.7)
+    with pytest.raises(BudgetError):
+        exact_log_z(cycle(top + 1), q, 0.7)
+
+
+def test_counts_beyond_int64_are_refused():
+    # a raised budget lets a long cycle through; its counts must still fit
+    expected = [c + d for c, d in zip(_poly_pow([1, 1], 62), _poly_pow([-1, 1], 62))]
+    assert oracle._mono_histogram(cycle(62), 2).tolist() == expected
+    with pytest.raises(BudgetError, match="overflow the 64-bit histogram counts"):
+        exact_log_z(cycle(63), 2, 0.7, budget=2**70)
+
+
+@pytest.mark.parametrize("q", [2, 3])
+def test_tree_histograms_match_closed_form(q):
+    # coefficients of q(x+q-1)^(n-1)
+    rng = random.Random(q)
+    for n in range(2, _largest_n(q) + 1):
+        g = Graph.from_edges(_random_tree_edges(rng, n))
+        expected = [q * c for c in _poly_pow([q - 1, 1], n - 1)]
+        assert oracle._mono_histogram(g, q).tolist() == expected, n
 
 
 def test_colours_above_256_stay_distinct():
@@ -89,7 +176,7 @@ def test_colours_above_256_stay_distinct():
 
 @pytest.mark.parametrize("block", [1, 4, 9])
 def test_high_colourings_leave_every_oracle_unchanged(monkeypatch, block):
-    """A smaller low block gives the same histograms, so the same floats."""
+    """A smaller block gives the same histograms, so the same floats."""
     rng = random.Random(block)
     cases = [(triangles_with_bridge(), [[0, 1, 2], [3, 4, 5]])]
     for n in (7, 8):
@@ -111,18 +198,64 @@ def test_high_colourings_leave_every_oracle_unchanged(monkeypatch, block):
                 )
             )
     monkeypatch.setattr(oracle, "_BLOCK", block)
+    calls = _spy_mono_blocks(monkeypatch)
     got = []
     for g, parts in cases:
         for q in (2, 3):
             assert oracle._low_block(g.n, q).shape[0] < g.n
+            calls.clear()
+            log_z = exact_log_z(g, q, 0.7)
+            # the dynamic program stopped at the block and left high vertices
+            assert len(calls) == 1
+            high, entries = calls[0]
+            assert high > 0 and entries <= block
             got.append(
                 (
-                    exact_log_z(g, q, 0.7),
+                    log_z,
                     exact_log_z_psi(g, parts, (0, q - 1), q, 0.7),
                     exact_log_z_star(g, parts, q, 0.7),
                 )
             )
     assert got == expected
+
+
+def test_complete_16_keeps_the_table_within_the_block(monkeypatch):
+    # nothing merges on a complete graph: the table doubles up to the block,
+    # and the last vertex is enumerated over it
+    sizes = []
+    real_repeat = np.repeat
+
+    def repeat(a, repeats, axis=None):
+        out = real_repeat(a, repeats, axis=axis)
+        sizes.append(out.shape[-1])
+        return out
+
+    monkeypatch.setattr(np, "repeat", repeat)
+    calls = _spy_mono_blocks(monkeypatch)
+    log_z = exact_log_z(complete(16), 2, 0.7)
+    assert max(sizes) == oracle._BLOCK
+    assert calls == [(1, oracle._BLOCK)]
+    # a colouring with a vertices of colour 0 has C(a,2) + C(16-a,2)
+    # monochromatic edges
+    hist = [0] * (16 * 15 // 2 + 1)
+    for a in range(17):
+        hist[math.comb(a, 2) + math.comb(16 - a, 2)] += math.comb(16, a)
+    assert log_z == log_count_sum(hist, 0.7)
+
+
+def test_random_regular_26_needs_no_outer_step(monkeypatch):
+    g = random_regular(26, 3, 0)
+    # the reference: every colouring, through the block enumeration alone
+    hist = [0] * (g.m + 1)
+    for _, mono in oracle._mono_blocks(g.n, g.edges, 2, oracle._low_block(g.n, 2)):
+        for j, c in enumerate(np.bincount(mono, minlength=g.m + 1).tolist()):
+            hist[j] += c
+    calls = _spy_mono_blocks(monkeypatch)
+    log_z = exact_log_z(g, 2, 0.7)
+    # every vertex was visited: one pass over the final table, with no high
+    # vertex to colour
+    assert len(calls) == 1 and calls[0][0] == 0
+    assert log_z == log_count_sum(hist, 0.7)
 
 
 # ---------------------------------------------------------------------------

@@ -82,17 +82,18 @@ class TestParse:
         g = parse_graph("# a path\n\n0 1\n\n# mid\n1 2\n")
         assert g.m == 2 and g.n == 3
 
-    def test_header_recognized(self):
-        g = parse_graph("3 2\n0 1\n1 2\n")
-        assert g.n == 3 and g.m == 2
-        assert (2, 3) not in g.edges
+    def test_every_line_is_an_edge(self):
+        # a first line that reads as "n m" is an edge like any other
+        assert parse_graph("3 2\n0 1\n1 2\n").edges == ((0, 1), (1, 2), (2, 3))
+        assert parse_graph("2 1\n0 1\n").edges == ((0, 1), (1, 2))
+        assert parse_graph("1 0\n").edges == ((0, 1),)
 
     def test_header_with_extra_vertex_capacity_rejected_isolated(self):
-        with pytest.raises(ParseError, match="isolated"):
+        # "4 2" is the edge 2-4, which leaves vertex 3 isolated
+        with pytest.raises(ParseError, match="vertex 3 is isolated"):
             parse_graph("4 2\n0 1\n1 2\n")
 
     def test_non_header_first_line_is_edge(self):
-        # (0,1) cannot be a header (endpoints of later lines not < 0).
         g = parse_graph("0 1\n1 2\n")
         assert g.m == 2
 
@@ -139,11 +140,10 @@ class TestOneConstructor:
             g = _random_graph(rng, rng.randint(2, 12), rng.choice((0.3, 0.6)))
             if g is None:
                 continue
-            # edges in random order and orientation, under an "n m" header
-            # so that no edge line can read as one
+            # edges in random order and orientation
             edges = [(v, u) if rng.random() < 0.5 else (u, v) for u, v in g.edges]
             rng.shuffle(edges)
-            text = "".join(f"{u} {v}\n" for u, v in [(g.n, g.m), *edges])
+            text = "".join(f"{u} {v}\n" for u, v in edges)
             assert parse_graph(text) == g
             assert Graph.from_edges(edges, n=g.n) == g
             assert induced_subgraph(g, range(g.n)) == (g, tuple(range(g.n)))
@@ -192,8 +192,8 @@ class TestOneConstructor:
             (lambda: parse_graph("0 1 2\n"), ParseError,
              "line 1: expected two integers, got '0 1 2'"),
             (lambda: parse_graph(""), ParseError, "no edges: empty graph text"),
-            (lambda: parse_graph("3 0\n"), ParseError,
-             "no edges: header present but zero edge lines"),
+            pytest.param(lambda: parse_graph("3 0\n"), ParseError,
+                         "vertex 1 is isolated", id="n-m-line-is-an-edge"),
             (lambda: induced_subgraph(cycle(5), [0, 1, 3]), PreconditionError,
              "vertex 2 is isolated"),
             (lambda: induced_subgraph(cycle(5), [0, 2]), PreconditionError,
