@@ -288,57 +288,74 @@ def is_connected(g: Graph) -> bool:
 def subset_scan(g: Graph):
     """Yield (masks, sizes, boundary, volume) blocks over all vertex subsets.
 
-    The first L = min(n, 15) vertices form the low block: the sizes,
-    volumes and internal edge counts of its 2**L subsets are vectors
-    computed once, as is, for each high vertex b (L..n-1), the number of
-    b's neighbours in each low subset.  One block of 2**L subsets follows
-    per subset H of the high vertices, in increasing order of H, so the
-    masks rise over the whole scan, the empty set (mask 0) first.  A block
-    adds H's size and volume as scalars, and its boundary is vol(S) - 2e(S),
-    where e(S) adds e(H) and the neighbour counts of the high vertices in H.
-    The 2**n subsets so cost 2**(n-L) steps of a few vector operations on
-    2**L entries.  The four fields are int64 arrays of length 2**L.
+    The first L = min(n, _SUBSET_BLOCK_BITS) vertices are low.  One block
+    of 2**L subsets follows per subset H of the high vertices (L..n-1), in
+    increasing order of H, so the masks rise over the whole scan, the empty
+    set (mask 0) first; entry s of a block is the low subset with mask s
+    joined to H.
+
+    The low tables are built by doubling: the subsets of the first v+1
+    vertices are those of the first v, then the same sets with v added,
+    which adds 1 to the size, deg(v) to the volume and v's gain to the
+    boundary.  A vertex's gain on a set is deg - 2*(its neighbours in the
+    set), and the gain vectors of the vertices still to come double
+    alongside, as rows of the same table.  For a high vertex b that gives
+    its gain on every low subset, and a block's boundary vector is the low
+    boundaries plus the gains of H's vertices, less twice the number of
+    edges inside H, a scalar.  One running sum of gains steps from H - 1 to
+    H by subtracting the gains of the trailing ones it clears and adding
+    the gain of the bit it sets, about two vector adds per block.
+
+    Every field is a fresh array of length 2**L: the masks are int64 and
+    the other three the narrowest of int16, int32 and int64 that holds 2m,
+    which is int16 for every graph with n <= 20.
     """
     n = g.n
     low = min(n, _SUBSET_BLOCK_BITS)
-    low_masks = np.arange(1 << low, dtype=np.int64)
-    bits = [(low_masks >> v & 1).astype(bool) for v in range(low)]
-    low_sizes = np.zeros(1 << low, dtype=np.int64)
-    low_vol = np.zeros(1 << low, dtype=np.int64)
-    low_inner = np.zeros(1 << low, dtype=np.int64)
+    dtype = (
+        np.int16 if 2 * g.m < 1 << 15 else np.int32 if 2 * g.m < 1 << 31 else np.int64
+    )
+    # row w < n: vertex w's gain on each low subset; rows n to n+2: size,
+    # volume and boundary.  Vertex v doubles the rows after its own: steps[v]
+    # takes 2 from the gain of each later neighbour, adds 1 to the size and
+    # deg(v) to the volume; the boundary adds v's gain on the set without v.
+    table = np.zeros((n + 3, 1 << low), dtype=dtype)
+    table[:n, 0] = g.degrees
+    steps = np.zeros((low, n + 3), dtype=dtype)
+    steps[:, n] = 1
+    steps[:, n + 1] = g.degrees[:low]
+    for u, w in g.edges:
+        if u < low:
+            steps[u, w] = -2
     for v in range(low):
-        low_sizes += bits[v]
-        low_vol += g.degrees[v] * bits[v]
-        for u in g.adj[v]:
-            if u < v:
-                low_inner += bits[u] & bits[v]
-    # for each high vertex, how many of its neighbours each low subset holds
-    reach = []
-    for b in range(low, n):
-        count = np.zeros(1 << low, dtype=np.int64)
-        for u in g.adj[b]:
-            if u < low:
-                count += bits[u]
-        reach.append(count)
+        old, new = slice(0, 1 << v), slice(1 << v, 2 << v)
+        np.add(table[v + 1 :, old], steps[v, v + 1 :, None], out=table[v + 1 :, new])
+        table[-1, new] += table[v, old]
+    low_sizes, low_vol, low_bnd = table[n:]
+    gains = table[low:n]
+    high_deg = g.degrees[low:]
     high_adj = [mk >> low for mk in g.adj_masks[low:]]
+    # per high subset H: its volume and the number of edges inside it,
+    # each from H without its lowest vertex, which the scan met earlier
+    high_vol = [0] * (1 << (n - low))
+    high_inner = [0] * (1 << (n - low))
+    low_masks = np.arange(1 << low, dtype=np.int64)
+    running = low_bnd.copy()
     for top in range(1 << (n - low)):
-        size = vol = inner = 0
-        inner_vec = low_inner.copy()
-        mk = top
-        while mk:
-            lowest = mk & -mk
-            j = lowest.bit_length() - 1
-            mk ^= lowest
-            size += 1
-            vol += g.degrees[low + j]
-            inner += (high_adj[j] & top & (lowest - 1)).bit_count()
-            inner_vec += reach[j]
-        volume_vec = low_vol + vol
+        if top:
+            j = (top & -top).bit_length() - 1
+            rest = top ^ (1 << j)
+            high_vol[top] = high_vol[rest] + high_deg[j]
+            high_inner[top] = high_inner[rest] + (high_adj[j] & rest).bit_count()
+            # top - 1 is rest plus the vertices below j
+            for i in range(j):
+                running -= gains[i]
+            running += gains[j]
         yield (
             low_masks + (top << low),
-            low_sizes + size,
-            volume_vec - 2 * (inner_vec + inner),
-            volume_vec,
+            low_sizes + top.bit_count(),
+            running - 2 * high_inner[top],
+            low_vol + high_vol[top],
         )
 
 
@@ -392,10 +409,13 @@ def is_alpha_expander(
 ) -> tuple[bool, tuple[int, ...] | None]:
     """Exhaustively check |boundary(S)| >= alpha*|S| for all |S| <= n/2.
 
-    Exact rational comparison.  Only for n <= SUBSET_ENUM_MAX_N.  On failure
-    returns the violating set with the smallest bitmask: the scan's blocks
-    come in mask order, so it stops at the first block that holds a
-    violation and takes that block's smallest violating mask.
+    Exact rational comparison.  Only for n <= SUBSET_ENUM_MAX_N.  Within a
+    block of :func:`subset_scan`, a set's size is its low size plus the
+    block's high size, so one threshold vector per high size, built at the
+    first block of that size, serves every block of that size.  On failure
+    returns the violating set with the smallest bitmask: the blocks come in
+    mask order, so the scan stops at the first block that holds a violation
+    and takes that block's smallest violating mask.
     """
     if g.n > SUBSET_ENUM_MAX_N:
         raise PreconditionError(
@@ -407,15 +427,19 @@ def is_alpha_expander(
         raise PreconditionError("alpha must be nonnegative")
     num, den = a.numerator, a.denominator
     # an integer boundary b violates b >= (num/den)*size exactly when
-    # b < ceil(num*size/den); capping at m+1 keeps that (b <= m) in int64,
-    # and sets above half the vertices need nothing
-    need = np.array(
-        [min(-(-num * size // den), g.m + 1) if 2 * size <= g.n else 0
-         for size in range(g.n + 1)],
-        dtype=np.int64,
-    )
+    # b < ceil(num*size/den); capping at m+1 keeps that (b <= m) in the
+    # scan's integer type, and sets above half the vertices need nothing
+    need = [
+        min(-(-num * size // den), g.m + 1) if 2 * size <= g.n else 0
+        for size in range(g.n + 1)
+    ]
+    thresholds: dict[int, np.ndarray] = {}
     for masks, sizes, bnd, _ in subset_scan(g):
-        bad = bnd < need[sizes]
+        # entry 0 holds no low vertex, so sizes[0] is the block's high size
+        high = int(sizes[0])
+        if high not in thresholds:
+            thresholds[high] = np.array(need, dtype=bnd.dtype)[sizes]
+        bad = bnd < thresholds[high]
         if bad.any():
             return False, vertices_of_mask(int(masks[bad.argmax()]))
     return True, None

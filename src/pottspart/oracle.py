@@ -18,8 +18,9 @@ colourings of the others.  Each step adds a scalar for the edges among the
 high vertices and, for each edge between the two sides, one comparison of a
 precomputed low column with a high colour, so q**n states cost q**(n-L)
 vector steps of q**L entries.  The subset scans behind the conductance
-functions take the same shape from :func:`graphs.subset_scan`, with 2**15
-low subsets per block.
+functions have the same shape: :func:`graphs.subset_scan` yields blocks of
+2**15 low subsets, each stepped from the one before by about two vector
+adds of int16 gains (for n <= 20).
 """
 
 from __future__ import annotations
@@ -437,16 +438,17 @@ def _block_min(bnd: np.ndarray, vol: np.ndarray, ok: np.ndarray):
     entry that attains it, or None when ok selects nothing.  Rounding is
     monotone, so every exact minimiser has the smallest float ratio; the
     exact minimum is then picked among those few entries and the rest are
-    kept by integer cross-multiplication.
+    kept by integer cross-multiplication, in int64: the scan's fields are
+    as narrow as 2m allows, and a product of two can reach 2m**2.
     """
     if not ok.any():
         return None
     ratio = np.divide(bnd, vol, out=np.full(len(bnd), np.inf), where=ok)
     near = np.flatnonzero(ratio == ratio.min())
-    b, v = min(
-        zip(bnd[near].tolist(), vol[near].tolist()), key=lambda bv: Fraction(*bv)
-    )
-    return b, v, near[bnd[near] * v == b * vol[near]]
+    near_bnd = bnd[near].astype(np.int64)
+    near_vol = vol[near].astype(np.int64)
+    b, v = min(zip(near_bnd.tolist(), near_vol.tolist()), key=lambda bv: Fraction(*bv))
+    return b, v, near[near_bnd * v == b * near_vol]
 
 
 def min_conductance(g: Graph) -> tuple[Fraction, tuple[int, ...]]:
@@ -460,10 +462,10 @@ def min_conductance(g: Graph) -> tuple[Fraction, tuple[int, ...]]:
         raise BudgetError(
             f"subset enumeration limited to n <= {SUBSET_ENUM_MAX_N}, got {g.n}"
         )
-    total = 2 * g.m
     best: tuple[int, int, tuple[int, ...]] | None = None
     for masks, _, bnd, vol in subset_scan(g):
-        found = _block_min(bnd, vol, (vol > 0) & (2 * vol <= total))
+        # half the total volume 2m is m
+        found = _block_min(bnd, vol, (vol > 0) & (vol <= g.m))
         if found is None:
             continue
         b, v, where = found

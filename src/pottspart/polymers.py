@@ -422,7 +422,7 @@ def kp_margin(q: int, max_degree: int, beta: float, alpha: float) -> float:
     check_q_beta(q, beta, zero_beta_ok=True)
     if max_degree < 1:
         raise PreconditionError(f"max degree must be positive, got {max_degree}")
-    if alpha <= 0:
+    if not alpha > 0:  # nan fails this test too
         raise PreconditionError(f"alpha must be positive, got {alpha}")
     a = 3.0 - beta * alpha + math.log(q - 1) + math.log(max_degree)
     return a + math.log(max_degree + 2)
@@ -435,7 +435,7 @@ def kp_condition_holds(q: int, max_degree: int, beta: float, alpha: float) -> bo
 
 def kp_sufficient_beta(q: int, max_degree: int, alpha: float) -> float:
     """A beta at or above this value always satisfies the condition."""
-    if alpha <= 0:
+    if not alpha > 0:  # nan fails this test too
         raise PreconditionError(f"alpha must be positive, got {alpha}")
     return (4.0 + 2.0 * math.log(q * max_degree)) / alpha
 

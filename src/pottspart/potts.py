@@ -146,7 +146,7 @@ def required_beta_good_parts(
     Two threshold forms circulate for this composition; we enforce the
     pointwise maximum of both, so the accepted regime satisfies each.
     """
-    if alpha <= 0:
+    if not alpha > 0:  # nan fails this test too
         raise PreconditionError(f"alpha must be positive, got {alpha}")
     if not 0 < eta <= 1:
         raise PreconditionError(f"eta must be in (0, 1], got {eta}")
@@ -216,7 +216,7 @@ class PottsResult:
 def _check_q_beta_xi(q: int, beta: float, xi: float) -> float:
     check_q_beta(q, beta)
     if not (math.isfinite(xi) and xi > 0):
-        raise PreconditionError(f"accuracy must be positive, got {xi}")
+        raise PreconditionError(f"accuracy must be finite and positive, got {xi}")
     return min(xi, XI_CAP)
 
 
@@ -347,7 +347,7 @@ def approx_log_z_expander(
     """
     xi = _check_q_beta_xi(q, beta, xi)
     if not (math.isfinite(alpha) and alpha > 0):
-        raise PreconditionError(f"alpha must be positive, got {alpha}")
+        raise PreconditionError(f"alpha must be finite and positive, got {alpha}")
     if g.m == 0:
         if g.n == 1:
             # a single vertex is vacuously an expander; Z = q exactly

@@ -440,6 +440,19 @@ def test_k_way_expansion_matches_gray_scan(monkeypatch):
                 assert k_way_expansion(g, k) == expected[i, k]
 
 
+def test_narrow_fields_at_their_largest_values():
+    # K20: boundaries reach 10*10 = 100 and volumes 2m = 380, and the
+    # conductance cross-products reach 100*190
+    g = complete(20)
+    assert next(subset_scan(g))[2].dtype == np.int16
+    first_half = tuple(range(10))
+    assert is_alpha_expander(g, 10) == (True, None)
+    assert is_alpha_expander(g, Fraction(1001, 100)) == (False, first_half)
+    assert min_conductance(g) == (Fraction(10, 19), first_half)
+    assert expansion_profile(g, 379) == Fraction(1, 19)
+    assert expansion_profile(g, 2 * g.m) == 0
+
+
 @pytest.mark.parametrize(
     "call, message",
     [

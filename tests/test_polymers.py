@@ -610,7 +610,64 @@ class TestClusterExpansion:
             assert math.isclose(exp.log_xi(lws), exact, rel_tol=1e-7, abs_tol=1e-9)
 
 
+def _log_xi_coefficients(g, polymers, log_weights, depth):
+    """a_1..a_depth in log Xi(z) = sum_k a_k z^k, each weight scaled by z^|gamma|.
+
+    Xi(z), the sum over compatible families with each polymer weighing
+    w(gamma) z^|gamma|, is a polynomial p with p_0 = 1; its coefficients up
+    to z^depth come from enumerating families with the definitional
+    compatibility, and (log p)' p = p' gives k a_k = k p_k - sum over
+    0 < j < k of j a_j p_(k-j).  The clusters of total size k sum to a_k, so
+    the truncation at depth m is a_1 + ... + a_m, found here without the
+    cluster machinery.
+    """
+    p = [1.0] + [0.0] * depth
+
+    def grow(start, family, size, log_w):
+        for j in range(start, len(polymers)):
+            grown = size + len(polymers[j].vertices)
+            if grown <= depth and all(
+                compatible(g, polymers[j], polymers[i]) for i in family
+            ):
+                p[grown] += math.exp(log_w + log_weights[j])
+                grow(j + 1, family + [j], grown, log_w + log_weights[j])
+
+    grow(0, [], 0, 0.0)
+    a = [0.0] * (depth + 1)
+    for k in range(1, depth + 1):
+        a[k] = p[k] - sum(j * a[j] * p[k - j] for j in range(1, k)) / k
+    return a[1:]
+
+
 class TestTruncatedXi:
+    def test_log_xi_has_teeth(self):
+        """log Xi on K5 at 1.1x the expander threshold, q=2, alpha=3.
+
+        log Xi = 3.2e-5 is at least twice the certified tail
+        n*e^(-rho*(m+1)) at the depths m that xi = 1e-3 and 1e-4 give, so an
+        answer of 0 fails the tail check.  Each cluster size up to 4 moves
+        the sum by more than 1e-10 of it, so a build that drops its top-size
+        clusters misses the series coefficient of that size.
+        """
+        g, parts, psi, q, alpha = complete(5), [tuple(range(5))], (0,), 2, 3.0
+        beta = 1.1 * kp_sufficient_beta(q, g.max_degree, alpha)
+        rho = 1.0 - kp_margin(q, g.max_degree, beta, alpha)
+        exact = exact_log_xi(g, parts, psi, q, beta)
+        polymers = enumerate_polymers(g, parts, max_size=g.n // 2)
+        weights = polymer_log_weights(g, parts, psi, polymers, q, beta)
+        coefficients = _log_xi_coefficients(g, polymers, weights, 4)
+        for xi, depth in ((1e-3, 3), (1e-4, 4)):
+            assert truncation_depth(g.n, xi, q, g.max_degree, beta, alpha) == depth
+            tail = g.n * math.exp(-rho * (depth + 1))
+            assert abs(exact) >= 2 * tail
+            assert abs(math.fsum(coefficients[:depth]) - exact) <= tail
+            got = truncated_log_xi(g, parts, psi, q, beta, xi, alpha).log_xi
+            assert abs(got - exact) <= tail
+        for depth in range(1, 5):
+            assert abs(coefficients[depth - 1]) > 1e-10 * abs(exact)
+            got = ClusterExpansion(polymers, depth).log_xi(weights)
+            assert math.isclose(got, math.fsum(coefficients[:depth]), rel_tol=1e-13)
+
     def test_depth_formula(self):
         # margin -1.129 at q=3, max degree 4, beta=8, alpha=1: rho = 2.129
         assert truncation_depth(10, 0.01, 3, 4, 8.0, 1.0) == 4

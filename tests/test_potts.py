@@ -50,6 +50,8 @@ from pottspart.polymers import (
     enumerate_polymers,
     ground_colouring,
     is_sparse,
+    kp_condition_holds,
+    kp_margin,
     kp_sufficient_beta,
     restricted_log_partition,
     truncated_log_xi,
@@ -273,6 +275,32 @@ class TestThresholds:
         with pytest.raises(PreconditionError):
             required_beta_good_parts(2, 3, 1.0, 1.5)
 
+    @pytest.mark.parametrize(
+        "threshold",
+        [
+            lambda alpha: kp_margin(2, 3, 30.0, alpha),
+            lambda alpha: kp_condition_holds(2, 3, 30.0, alpha),
+            lambda alpha: kp_sufficient_beta(2, 3, alpha),
+            lambda alpha: truncation_depth(20, 0.1, 2, 3, 30.0, alpha),
+            lambda alpha: required_beta_expander(2, 3, alpha),
+            lambda alpha: required_beta_good_parts(2, 3, alpha, 0.5),
+        ],
+        ids=[
+            "kp_margin",
+            "kp_condition_holds",
+            "kp_sufficient_beta",
+            "truncation_depth",
+            "required_beta_expander",
+            "required_beta_good_parts",
+        ],
+    )
+    def test_nan_alpha_is_refused_and_infinite_alpha_kept(self, threshold):
+        # nan fails every comparison, so "alpha <= 0" would let it through
+        with pytest.raises(PreconditionError, match="alpha must be positive, got nan"):
+            threshold(math.nan)
+        # certified_alpha gives inf for all-singleton partitions
+        threshold(math.inf)
+
     def test_sse_threshold_is_max_of_both_forms(self):
         g = complete(8)
         params = PartitionParams.from_graph(g, 2)
@@ -356,6 +384,18 @@ class TestExpanderPipeline:
         for xi in (0.0, -0.1, math.inf):
             with pytest.raises(PreconditionError):
                 approx_log_z_expander(cycle(12), 2, 21.0, xi, 1.0 / 3.0)
+
+    @pytest.mark.parametrize(
+        "alpha, xi, message",
+        [
+            (math.inf, 0.01, "alpha must be finite and positive, got inf"),
+            (1.0 / 3.0, math.inf, "accuracy must be finite and positive, got inf"),
+        ],
+        ids=["alpha", "accuracy"],
+    )
+    def test_infinite_arguments_are_called_not_finite(self, alpha, xi, message):
+        with pytest.raises(PreconditionError, match=message):
+            approx_log_z_expander(cycle(12), 2, 21.0, xi, alpha)
 
     def test_depth_beyond_polymer_size_cap_is_refused_at_once(self):
         # xi = 1e-28 on 200 vertices needs clusters of 22 vertices (rho =
