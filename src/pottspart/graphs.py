@@ -404,18 +404,113 @@ def connected_sets(
                 later |= wbit
 
 
+def elimination_order(g: Graph) -> tuple[tuple[int, tuple[int, ...]], ...]:
+    """A greedy vertex order for contractions, as steps (v, gone).
+
+    Each step visits v, which joins the frontier: the visited vertices with
+    an unvisited neighbour.  gone lists, in frontier order, the vertices
+    that then leave it because their last unvisited neighbour was visited
+    (v itself last, when it has no unvisited neighbour).  Next is the
+    vertex that leaves the smallest frontier, then the fewest edges between
+    visited and unvisited vertices, then the smallest label.  A table with
+    one axis per frontier vertex stays small on graphs of small pathwidth
+    such as cycles and random 3-regular graphs.
+    """
+    adj, deg = g.adj_masks, g.degrees
+    unseen = list(deg)  # each vertex's unvisited neighbours
+    visited = 0
+    frontier: list[int] = []
+    unvisited = list(range(g.n))
+    steps = []
+    while unvisited:
+        # a frontier vertex whose one unvisited neighbour is u leaves with u
+        closes: dict[int, int] = {}
+        for w in frontier:
+            if unseen[w] == 1:
+                u = (adj[w] & ~visited).bit_length() - 1
+                closes[u] = closes.get(u, 0) + 1
+        # unvisited less visited neighbours is the growth of the edges
+        # between visited and unvisited vertices
+        _, _, v = min(
+            [
+                ((unseen[u] > 0) - closes.get(u, 0), 2 * unseen[u] - deg[u], u)
+                for u in unvisited
+            ]
+        )
+        unvisited.remove(v)
+        visited |= 1 << v
+        for u in g.adj[v]:
+            unseen[u] -= 1
+        frontier.append(v)
+        steps.append((v, tuple(w for w in frontier if not unseen[w])))
+        frontier = [w for w in frontier if unseen[w]]
+    return tuple(steps)
+
+
+def _least_boundaries(g: Graph) -> list[int] | None:
+    """B[s] = the least boundary of an s-vertex set, for s <= n/2.
+
+    A min-plus contraction along :func:`elimination_order`.  The table has
+    one axis of 2 per frontier vertex (outside, inside) and a last axis
+    for the number of left vertices inside; an entry is the least number of
+    edges with an endpoint that has left and exactly one endpoint inside.
+    A visited vertex joins as an axis of length 1, which broadcasts to 2
+    once an edge needs its side.  When it leaves, each edge to a vertex
+    still on the frontier adds one where their sides differ, and its axis
+    is reduced: the minimum of outside and inside, shifted up one size.
+    Sizes above n/2 are dropped, as no set of that size is asked about.
+    None when a table would hold more than one subset-scan block, which
+    the order decides before any array is built.
+    """
+    steps = elimination_order(g)
+    half = g.n // 2
+    width = widest = 0
+    for _, gone in steps:
+        width += 1
+        widest = max(widest, width)
+        width -= len(gone)
+    if (half + 1) << widest > 1 << _SUBSET_BLOCK_BITS:
+        return None
+    adj = g.adj_masks
+    differ = 1 - np.eye(2, dtype=np.int32)
+    # m + 1 exceeds every boundary: no set of that size yet
+    table = np.full(half + 1, g.m + 1, dtype=np.int32)
+    table[0] = 0
+    front: list[int] = []
+    for v, gone in steps:
+        # an axis of length 1 does not depend on its vertex's side
+        table = table.reshape(*table.shape[:-1], 1, half + 1)
+        front.append(v)
+        for x in gone:
+            i = front.index(x)
+            for j, w in enumerate(front):
+                if adj[x] >> w & 1:
+                    shape = [1] * table.ndim
+                    shape[i] = shape[j] = 2
+                    table = table + differ.reshape(shape)
+            outside = table[(slice(None),) * i + (0,)].copy()
+            inside = table[(slice(None),) * i + (-1,)]
+            np.minimum(outside[..., 1:], inside[..., :-1], out=outside[..., 1:])
+            table = outside
+            front.remove(x)
+    return table.tolist()
+
+
 def is_alpha_expander(
     g: Graph, alpha: int | float | Fraction
 ) -> tuple[bool, tuple[int, ...] | None]:
-    """Exhaustively check |boundary(S)| >= alpha*|S| for all |S| <= n/2.
+    """Check |boundary(S)| >= alpha*|S| for all |S| <= n/2, exactly.
 
-    Exact rational comparison.  Only for n <= SUBSET_ENUM_MAX_N.  Within a
-    block of :func:`subset_scan`, a set's size is its low size plus the
-    block's high size, so one threshold vector per high size, built at the
-    first block of that size, serves every block of that size.  On failure
-    returns the violating set with the smallest bitmask: the blocks come in
-    mask order, so the scan stops at the first block that holds a violation
-    and takes that block's smallest violating mask.
+    Exact rational comparison.  Only for n <= SUBSET_ENUM_MAX_N.  Accepts
+    when the least boundary of each size s <= n/2, from the contraction
+    :func:`_least_boundaries`, is at least alpha*s.  Otherwise, and when
+    that table would be too large, the sets are scanned in the blocks of
+    :func:`subset_scan`.  Within a block, a set's size is its low size plus
+    the block's high size, so one threshold vector per high size, built at
+    the first block of that size, serves every block of that size.  On
+    failure returns the violating set with the smallest bitmask: the blocks
+    come in mask order, so the scan stops at the first block that holds a
+    violation and takes that block's smallest violating mask.
     """
     if g.n > SUBSET_ENUM_MAX_N:
         raise PreconditionError(
@@ -426,6 +521,9 @@ def is_alpha_expander(
     if a < 0:
         raise PreconditionError("alpha must be nonnegative")
     num, den = a.numerator, a.denominator
+    least = _least_boundaries(g)
+    if least is not None and all(b * den >= num * s for s, b in enumerate(least)):
+        return True, None
     # an integer boundary b violates b >= (num/den)*size exactly when
     # b < ceil(num*size/den); capping at m+1 keeps that (b <= m) in the
     # scan's integer type, and sets above half the vertices need nothing

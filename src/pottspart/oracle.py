@@ -5,10 +5,13 @@ approximated.  These functions are the reference values the rest of the
 package is tested against.
 
 :func:`exact_log_z` builds the exact histogram of monochromatic edge counts
-by a frontier dynamic program (:func:`_mono_histogram`), whose table stays
+by a sum-product contraction along :func:`graphs.elimination_order`
+(:func:`_mono_histogram`): a dense integer table with one axis per
+frontier vertex, whose size depends on the frontier, not on n, so it stays
 small on graphs of small pathwidth such as cycles and random 3-regular
-graphs.  The state budget still counts all q**n colourings, so what it
-refuses does not depend on the graph's shape.
+graphs.  :func:`graphs.is_alpha_expander` accepts by the min-plus twin of
+the same contraction.  The state budget still counts all q**n colourings,
+so what it refuses does not depend on the graph's shape.
 
 What the table cannot hold, and the restricted sums behind
 :func:`exact_log_z_psi` and :func:`exact_log_z_star`, is enumerated in
@@ -18,8 +21,9 @@ colourings of the others.  Each step adds a scalar for the edges among the
 high vertices and, for each edge between the two sides, one comparison of a
 precomputed low column with a high colour, so q**n states cost q**(n-L)
 vector steps of q**L entries.  The subset scans behind the conductance
-functions have the same shape: :func:`graphs.subset_scan` yields blocks of
-2**15 low subsets, each stepped from the one before by about two vector
+functions, and behind an expansion check that fails or whose table would
+be too large, have the same shape: :func:`graphs.subset_scan` yields blocks
+of 2**15 low subsets, each stepped from the one before by about two vector
 adds of int16 gains (for n <= 20).
 """
 
@@ -38,6 +42,7 @@ from .graphs import (
     SUBSET_ENUM_MAX_N,
     Graph,
     components,
+    elimination_order,
     induced_subgraph,
     subset_scan,
     vertices_of_mask,
@@ -137,75 +142,103 @@ def _mono_blocks(
 def _mono_histogram(g: Graph, q: int) -> np.ndarray:
     """hist[j] = the number of colourings with j monochromatic edges.
 
-    A frontier dynamic program.  Vertices are visited greedily: next is the
-    one that leaves the smallest frontier (the visited vertices with an
-    unvisited neighbour), then the fewest edges between visited and
-    unvisited vertices, then the smallest label.  The table holds one
-    entry per (frontier colouring, monochromatic edges so far) with its
-    multiplicity: row i of ``cols`` is frontier vertex ``frontier[i]``'s
-    colour in each entry.  Visiting a vertex repeats each entry once per
-    colour and counts its edges to the frontier; a vertex whose neighbours
-    are all visited leaves, and entries that then agree merge.  The table
-    never holds more than _BLOCK entries: when the next vertex would pass
-    that, the unvisited vertices are enumerated by :func:`_mono_blocks` over
-    the table, with the multiplicities as weights.  Counts are int64, so
-    q**n must stay below 2**63.
+    A sum-product contraction along :func:`graphs.elimination_order`.  The
+    table has one axis of q per frontier vertex, its colour, and a last
+    axis for the number of monochromatic edges counted so far; an entry is
+    the number of colourings of the visited vertices with that frontier
+    colouring and count.  A visited vertex joins as an axis of length 1,
+    which broadcasts to q once an edge needs its colour.  An edge stays
+    implicit in the frontier colouring until its first endpoint leaves;
+    then, where the two colours agree, the table moves up one count, and
+    the leaving vertex's axis is summed.  The table, with the padding of a
+    leaving vertex's counts, never holds more than _BLOCK entries: when the
+    next one would, :func:`_hand_off` enumerates the unvisited vertices
+    over its nonzero entries.  Counts are int64, so q**n must stay below
+    2**63.
     """
     adj = g.adj_masks
-    visited = 0
-    frontier: list[int] = []
-    cols = np.empty((0, 1), dtype=np.uint8 if q <= 256 else np.uint16)
-    mono = np.zeros(1, dtype=np.int32)
-    mult = np.ones(1, dtype=np.int64)
-    unvisited = list(range(g.n))
-    while unvisited and len(mult) * q <= _BLOCK:
-        # a frontier vertex whose one unvisited neighbour is u leaves with u
-        closing = [adj[w] & ~visited for w in frontier]
-        v = min(
-            unvisited,
-            key=lambda u: (
-                bool(adj[u] & ~visited) - closing.count(1 << u),
-                (adj[u] & ~visited).bit_count() - (adj[u] & visited).bit_count(),
-                u,
-            ),
-        )
-        unvisited.remove(v)
-        visited |= 1 << v
-        size = len(frontier)
-        grown = np.empty((size + 1, len(mult) * q), dtype=cols.dtype)
-        grown[:size] = np.repeat(cols, q, axis=1)
-        grown[size] = np.tile(np.arange(q, dtype=cols.dtype), len(mult))
-        cols = grown
-        mono = np.repeat(mono, q)
-        for i, w in enumerate(frontier):
-            if adj[v] >> w & 1:
-                mono += cols[i] == cols[size]
-        mult = np.repeat(mult, q)
-        frontier.append(v)
-        keep = [i for i, w in enumerate(frontier) if adj[w] & ~visited]
-        if len(keep) == len(frontier):
-            continue
-        frontier = [frontier[i] for i in keep]
-        cols = cols[keep]
-        key = mono.astype(np.int64)
-        for row in cols:
-            key = key * q + row
-        order = np.argsort(key)
-        key = key[order]
-        first = np.flatnonzero(np.concatenate(([True], key[1:] != key[:-1])))
-        pick = order[first]
-        cols, mono = cols[:, pick], mono[pick]
-        mult = np.add.reduceat(mult[order], first)
-    # the unvisited vertices follow the frontier rows, in ascending order
-    label = {w: i for i, w in enumerate(frontier + unvisited)}
+    same = np.eye(q, dtype=bool)
+    steps = elimination_order(g)
+    front: list[int] = []
+    # an axis of length 1 does not depend on its vertex's colour
+    table = np.ones(1, dtype=np.int64)
+    for t, (v, gone) in enumerate(steps):
+        if q ** (len(front) + 1) * table.shape[-1] > _BLOCK:
+            return _hand_off(g, q, table, front, [w for w, _ in steps[t:]])
+        table = table.reshape(*table.shape[:-1], 1, table.shape[-1])
+        front.append(v)
+        for x in gone:
+            i = front.index(x)
+            ends = [j for j, w in enumerate(front) if adj[x] >> w & 1]
+            k = len(ends)
+            counts = table.shape[-1]
+            if q ** len(front) * (counts + 2 * k) > _BLOCK:
+                return _hand_off(g, q, table, front, [w for w, _ in steps[t + 1 :]])
+            if k:
+                # k zeros each side: each edge moves the window down one
+                # count, except where the two colours agree
+                window = np.zeros((*table.shape[:-1], counts + 2 * k), np.int64)
+                window[..., k : k + counts] = table
+                for j in ends:
+                    shape = [1] * table.ndim
+                    shape[i] = shape[j] = q
+                    agree = same.reshape(shape)
+                    window = np.where(agree, window[..., :-1], window[..., 1:])
+                table = window
+            table = table.sum(axis=i) * (q if table.shape[i] == 1 else 1)
+            front.remove(x)
+    return table
+
+
+def _hand_off(
+    g: Graph, q: int, table: np.ndarray, front: list[int], unvisited: list[int]
+) -> np.ndarray:
+    """Finish :func:`_mono_histogram` by enumerating the unvisited colourings.
+
+    The frontier vertices become the low rows of :func:`_mono_blocks`, one
+    column per nonzero entry of the table.  The edges among them, implicit
+    in the table, are counted into the base first.  The frontier colourings
+    are laid out one vertex at a time, each entry repeated once per colour
+    of the new vertex, and each edge is counted when its later endpoint is
+    laid out, so a full frontier costs about twice its last vertex's rows
+    and edges.
+    """
+    adj = g.adj_masks
+    dtype = np.uint8 if q <= 256 else np.uint16
+    cols = np.empty((0, 1), dtype=dtype)
+    inner = np.zeros(1, dtype=np.int32)
+    for a, v in enumerate(front):
+        size = cols.shape[1]
+        grown = np.empty((a + 1, size, q), dtype=dtype)
+        for c in range(q):
+            grown[:a, :, c] = cols
+            grown[a, :, c] = c
+        cols = grown.reshape(a + 1, size * q)
+        inner = np.repeat(inner, q)
+        for b in range(a):
+            if adj[v] >> front[b] & 1:
+                inner += cols[b] == cols[a]
+    counts = table.shape[-1]
+    flat = np.broadcast_to(table, (q,) * len(front) + (counts,)).reshape(-1)
+    if counts == 1:
+        # no edge is counted yet, so every entry is a positive count
+        base, mult = inner, flat
+    else:
+        # entry e of the flat table has frontier colouring e // counts and
+        # count e % counts
+        where = np.flatnonzero(flat)
+        colouring = where // counts
+        cols, mult = cols[:, colouring], flat[where]
+        base = inner[colouring] + (where % counts).astype(np.int32)
+    label = {w: i for i, w in enumerate(front + unvisited)}
+    later = set(unvisited)
     rest = [
         (label[u], label[w])
-        for u in unvisited
-        for w in g.adj[u]
-        if visited >> w & 1 or w < u
+        for u, w in g.edges
+        if u in later and w in label or w in later and u in label
     ]
     hist = np.zeros(g.m + 1, dtype=np.int64)
-    for _, total in _mono_blocks(len(label), rest, q, cols, mono):
+    for _, total in _mono_blocks(len(label), rest, q, cols, base):
         np.add.at(hist, total, mult)
     return hist
 
@@ -437,9 +470,10 @@ def _block_min(bnd: np.ndarray, vol: np.ndarray, ok: np.ndarray):
     Returns (b, v, positions) with b/v the minimum and positions every
     entry that attains it, or None when ok selects nothing.  Rounding is
     monotone, so every exact minimiser has the smallest float ratio; the
-    exact minimum is then picked among those few entries and the rest are
-    kept by integer cross-multiplication, in int64: the scan's fields are
-    as narrow as 2m allows, and a product of two can reach 2m**2.
+    exact minimum among those entries, which are usually all exact ties,
+    is found and kept by vectorized integer cross-multiplication, in int64:
+    the scan's fields are as narrow as 2m allows, and a product of two can
+    reach 2m**2.
     """
     if not ok.any():
         return None
@@ -447,8 +481,28 @@ def _block_min(bnd: np.ndarray, vol: np.ndarray, ok: np.ndarray):
     near = np.flatnonzero(ratio == ratio.min())
     near_bnd = bnd[near].astype(np.int64)
     near_vol = vol[near].astype(np.int64)
-    b, v = min(zip(near_bnd.tolist(), near_vol.tolist()), key=lambda bv: Fraction(*bv))
+    b, v = int(near_bnd[0]), int(near_vol[0])
+    while (below := near_bnd * v < b * near_vol).any():
+        first = below.argmax()
+        b, v = int(near_bnd[first]), int(near_vol[first])
     return b, v, near[near_bnd * v == b * near_vol]
+
+
+def _first_by_vertex_tuple(masks: np.ndarray) -> int:
+    """The mask whose sorted vertex tuple is lexicographically smallest.
+
+    Keeps the sets whose next vertex is the smallest, one position at a
+    time; a set with no vertex left is then a prefix of the others, which
+    makes it the smallest.
+    """
+    rest = masks
+    while len(masks) > 1:
+        low = rest & -rest
+        if not low.all():
+            return int(masks[low.argmin()])
+        keep = low == low.min()
+        masks, rest = masks[keep], (rest ^ low)[keep]
+    return int(masks[0])
 
 
 def min_conductance(g: Graph) -> tuple[Fraction, tuple[int, ...]]:
@@ -456,7 +510,8 @@ def min_conductance(g: Graph) -> tuple[Fraction, tuple[int, ...]]:
 
     Minimizes boundary/volume over nonempty sets of at most half the total
     volume; ties resolve to the lexicographically smallest vertex tuple,
-    compared among each block's exact minimisers.
+    picked among each block's exact minimisers by their bitmasks
+    (:func:`_first_by_vertex_tuple`).
     """
     if g.n > SUBSET_ENUM_MAX_N:
         raise BudgetError(
@@ -471,7 +526,7 @@ def min_conductance(g: Graph) -> tuple[Fraction, tuple[int, ...]]:
         b, v, where = found
         if best is not None and b * best[1] > best[0] * v:
             continue
-        witness = min(vertices_of_mask(mask) for mask in masks[where].tolist())
+        witness = vertices_of_mask(_first_by_vertex_tuple(masks[where]))
         if best is None or b * best[1] < best[0] * v or witness < best[2]:
             best = (b, v, witness)
     if best is None:

@@ -425,7 +425,12 @@ def kp_margin(q: int, max_degree: int, beta: float, alpha: float) -> float:
     if not alpha > 0:  # nan fails this test too
         raise PreconditionError(f"alpha must be positive, got {alpha}")
     a = 3.0 - beta * alpha + math.log(q - 1) + math.log(max_degree)
-    return a + math.log(max_degree + 2)
+    margin = a + math.log(max_degree + 2)
+    if math.isnan(margin):  # beta = 0 with alpha = inf
+        raise PreconditionError(
+            f"the convergence margin is undefined at beta={beta} with alpha={alpha}"
+        )
+    return margin
 
 
 def kp_condition_holds(q: int, max_degree: int, beta: float, alpha: float) -> bool:

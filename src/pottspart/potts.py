@@ -341,9 +341,9 @@ def approx_log_z_expander(
     """Relative xi-approximation of log Z for an alpha-expander graph.
 
     The expansion hypothesis is the caller's responsibility; it is checked
-    exhaustively when n <= SUBSET_ENUM_MAX_N and trusted otherwise.  The
-    single-part pipeline runs with the q monochromatic colourings as ground
-    states.
+    exactly, over every set, when n <= SUBSET_ENUM_MAX_N and trusted
+    otherwise.  The single-part pipeline runs with the q monochromatic
+    colourings as ground states.
     """
     xi = _check_q_beta_xi(q, beta, xi)
     if not (math.isfinite(alpha) and alpha > 0):

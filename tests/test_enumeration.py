@@ -1,22 +1,26 @@
 """The enumerations against plain per-state references.
 
-The colouring histogram of the exact oracle, a frontier dynamic program that
-hands what it cannot hold to a block enumeration, is checked against
-``itertools.product`` and against closed forms; every consumer of
-``graphs.subset_scan`` against the Gray-code scan the block scan replaced,
-which is kept here as the reference.  A patched smaller block sends small
-graphs through the block enumeration.
+The colouring histogram of the exact oracle, a contraction along an
+elimination order that hands what it cannot hold to a block enumeration, is
+checked against ``itertools.product`` and against closed forms; the least
+boundaries of the expansion check's min-plus contraction, and every consumer
+of ``graphs.subset_scan``, against the Gray-code scan the block scan
+replaced, which is kept here as the reference.  A patched smaller block
+sends small graphs through the block enumeration.
 """
 
 from __future__ import annotations
 
+import contextlib
 import itertools
 import math
 import random
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from pottspart import graphs, oracle
 from pottspart.budgets import STATE_BUDGET
@@ -219,20 +223,33 @@ def test_high_colourings_leave_every_oracle_unchanged(monkeypatch, block):
     assert got == expected
 
 
-def test_complete_16_keeps_the_table_within_the_block(monkeypatch):
-    # nothing merges on a complete graph: the table doubles up to the block,
-    # and the last vertex is enumerated over it
+@contextlib.contextmanager
+def _table_sizes():
+    """Record the entries of every table the numpy calls build or grow:
+    the outputs of np.broadcast_to, and those of np.zeros and np.where
+    with two axes or more (the histogram is one axis)."""
     sizes = []
-    real_repeat = np.repeat
+    patches = contextlib.ExitStack()
+    for name in ("zeros", "where", "broadcast_to"):
+        real = getattr(np, name)
 
-    def repeat(a, repeats, axis=None):
-        out = real_repeat(a, repeats, axis=axis)
-        sizes.append(out.shape[-1])
-        return out
+        def spy(*args, _real=real, _name=name, **kwargs):
+            out = _real(*args, **kwargs)
+            if _name == "broadcast_to" or out.ndim > 1:
+                sizes.append(out.size)
+            return out
 
-    monkeypatch.setattr(np, "repeat", repeat)
+        patches.enter_context(mock.patch.object(np, name, spy))
+    with patches:
+        yield sizes
+
+
+def test_complete_16_keeps_the_table_within_the_block(monkeypatch):
+    # no edge is counted before the last vertex: the table of 15 vertices
+    # fills the block, and the last vertex is enumerated over it
     calls = _spy_mono_blocks(monkeypatch)
-    log_z = exact_log_z(complete(16), 2, 0.7)
+    with _table_sizes() as sizes:
+        log_z = exact_log_z(complete(16), 2, 0.7)
     assert max(sizes) == oracle._BLOCK
     assert calls == [(1, oracle._BLOCK)]
     # a colouring with a vertices of colour 0 has C(a,2) + C(16-a,2)
@@ -251,11 +268,106 @@ def test_random_regular_26_needs_no_outer_step(monkeypatch):
         for j, c in enumerate(np.bincount(mono, minlength=g.m + 1).tolist()):
             hist[j] += c
     calls = _spy_mono_blocks(monkeypatch)
-    log_z = exact_log_z(g, 2, 0.7)
-    # every vertex was visited: one pass over the final table, with no high
-    # vertex to colour
-    assert len(calls) == 1 and calls[0][0] == 0
+    with _table_sizes() as sizes:
+        log_z = exact_log_z(g, 2, 0.7)
+    # the contraction reached the last vertex, within the block
+    assert calls == []
+    assert max(sizes) <= oracle._BLOCK
     assert log_z == log_count_sum(hist, 0.7)
+
+
+@st.composite
+def _graphs_up_to_12(draw):
+    """A graph on 1..12 vertices, edges each present with a drawn chance;
+    isolated vertices and several components are allowed."""
+    n = draw(st.integers(1, 12))
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    p = draw(st.sampled_from([0.0, 0.15, 0.3, 0.5, 0.8, 1.0]))
+    edges = [e for e in itertools.combinations(range(n), 2) if rng.random() < p]
+    return Graph.from_edges(edges, n=n, allow_isolated=True)
+
+
+@given(_graphs_up_to_12())
+@settings(max_examples=150, deadline=None)
+def test_elimination_order_visits_each_vertex_and_leaves_it_after_its_neighbours(g):
+    steps = graphs.elimination_order(g)
+    assert sorted(v for v, _ in steps) == list(range(g.n))
+    assert sorted(x for _, gone in steps for x in gone) == list(range(g.n))
+    visited = set()
+    frontier = set()
+    for v, gone in steps:
+        visited.add(v)
+        frontier.add(v)
+        # exactly the frontier vertices with no unvisited neighbour leave
+        assert set(gone) == {w for w in frontier if set(g.adj[w]) <= visited}
+        frontier -= set(gone)
+
+
+@given(_graphs_up_to_12())
+@settings(max_examples=150, deadline=None)
+def test_least_boundaries_match_gray_scan(g):
+    least = [0] + [g.m + 1] * (g.n // 2)
+    for mask, bnd, _ in _gray_scan(g):
+        size = mask.bit_count()
+        if size <= g.n // 2:
+            least[size] = min(least[size], bnd)
+    assert graphs._least_boundaries(g) == least
+
+
+@given(_graphs_up_to_12().filter(lambda g: g.n >= 2))
+@settings(max_examples=150, deadline=None)
+def test_alpha_expander_matches_gray_scan_around_the_optimum(g):
+    scan = list(_gray_scan(g))
+    best = min(
+        Fraction(bnd, mask.bit_count())
+        for mask, bnd, _ in scan
+        if 0 < 2 * mask.bit_count() <= g.n
+    )
+    for alpha in (best, best + Fraction(1, 1000), 2 * best + 3):
+        assert is_alpha_expander(g, alpha) == _reference_alpha(g, scan, alpha)
+
+
+@pytest.mark.parametrize("block", [1, 4, 9])
+@given(g=_graphs_up_to_12(), q=st.sampled_from([2, 3]))
+@settings(max_examples=40, deadline=None)
+def test_histogram_matches_product_when_the_table_hands_off(block, g, q):
+    if q**g.n > 3**8:
+        q = 2
+    with mock.patch.object(oracle, "_BLOCK", block), _table_sizes() as sizes:
+        got = oracle._mono_histogram(g, q).tolist()
+    assert got == _reference_histogram(g.n, g.edges, q)
+    assert max(sizes, default=0) <= block
+
+
+def test_an_expander_is_accepted_without_a_subset_scan(monkeypatch):
+    g = random_regular(20, 3, 0)
+    best = min(Fraction(b, s) for s, b in enumerate(graphs._least_boundaries(g)) if s)
+    scans = []
+    real = graphs.subset_scan
+    monkeypatch.setattr(graphs, "subset_scan", lambda g: scans.append(1) or real(g))
+    assert is_alpha_expander(g, best) == (True, None)
+    assert scans == []
+    assert is_alpha_expander(g, best + Fraction(1, 1000))[0] is False
+    assert scans == [1]
+
+
+@pytest.mark.parametrize("q, block", [(2, 12), (2, 16), (3, 27)])
+def test_a_full_table_of_several_counts_hands_off(monkeypatch, q, block):
+    # on a path these blocks stop the contraction at a table whose every
+    # (frontier colouring, count) entry is nonzero
+    calls = _spy_mono_blocks(monkeypatch)
+    monkeypatch.setattr(oracle, "_BLOCK", block)
+    edges = [(0, 1), (1, 2), (2, 3), (3, 4)]
+    got = oracle._mono_histogram(Graph.from_edges(edges), q).tolist()
+    assert got == _reference_histogram(5, edges, q)
+    assert len(calls) == 1
+
+
+def test_least_boundaries_give_way_to_the_scan_past_the_block():
+    # the order keeps every vertex of a complete graph on the frontier, so
+    # K12's table is 7 sizes * 2**12 and K13's would be 7 * 2**13
+    assert graphs._least_boundaries(complete(12)) == [0, 11, 20, 27, 32, 35, 36]
+    assert graphs._least_boundaries(complete(13)) is None
 
 
 # ---------------------------------------------------------------------------
@@ -415,6 +527,26 @@ def test_min_conductance_matches_gray_scan(block_bits):
     for g in _graphs_for(block_bits):
         value, masks = _conductance_minimisers(g)
         assert min_conductance(g) == (value, min(vertices_of_mask(m) for m in masks))
+
+
+@given(st.sets(st.integers(1, (1 << 10) - 1), min_size=1, max_size=40))
+@settings(max_examples=200, deadline=None)
+def test_first_by_vertex_tuple_matches_tuple_order(masks):
+    # a prefix comes first: (0, 1) < (0, 1, 3) < (0, 2)
+    masks = sorted(masks) + [0b11, 0b1011, 0b101]
+    got = oracle._first_by_vertex_tuple(np.array(masks, dtype=np.int64))
+    assert vertices_of_mask(got) == min(vertices_of_mask(m) for m in masks)
+
+
+def test_block_min_separates_ratios_that_tie_as_floats():
+    # (v+1)/v and (w+1)/w round to the same float; the second is smaller
+    v, w = 3 * 10**8, 3 * 10**8 + 1
+    assert (v + 1) / v == (w + 1) / w
+    bnd = np.array([v + 1, w + 1, 5], dtype=np.int64)
+    vol = np.array([v, w, 1], dtype=np.int64)
+    b, u, where = oracle._block_min(bnd, vol, np.array([True, True, True]))
+    assert Fraction(b, u) == Fraction(w + 1, w)
+    assert where.tolist() == [1]
 
 
 def test_expansion_profile_matches_gray_scan(block_bits):

@@ -301,6 +301,14 @@ class TestThresholds:
         # certified_alpha gives inf for all-singleton partitions
         threshold(math.inf)
 
+    def test_zero_beta_with_infinite_alpha_is_refused_by_name(self):
+        # 0 * inf is nan, which a "margin > 0" refusal lets through
+        message = "margin is undefined at beta=0.0 with alpha=inf"
+        with pytest.raises(PreconditionError, match=message):
+            kp_margin(2, 3, 0.0, math.inf)
+        with pytest.raises(PreconditionError, match=message):
+            truncation_depth(10, 0.1, 2, 3, 0.0, math.inf)
+
     def test_sse_threshold_is_max_of_both_forms(self):
         g = complete(8)
         params = PartitionParams.from_graph(g, 2)
