@@ -15,6 +15,7 @@ exact integer/rational computations.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from typing import Callable, Iterable, Sequence
 
@@ -77,6 +78,10 @@ class Graph:
 
     def has_edge(self, u: int, v: int) -> bool:
         return bool(self.adj_masks[u] >> v & 1)
+
+    @cached_property
+    def _elimination_steps(self) -> tuple[tuple[int, tuple[int, ...]], ...]:
+        return _greedy_elimination(self)
 
 
 def _graph(adj: tuple[tuple[int, ...], ...], allow_isolated: bool) -> Graph:
@@ -414,8 +419,15 @@ def elimination_order(g: Graph) -> tuple[tuple[int, tuple[int, ...]], ...]:
     vertex that leaves the smallest frontier, then the fewest edges between
     visited and unvisited vertices, then the smallest label.  A table with
     one axis per frontier vertex stays small on graphs of small pathwidth
-    such as cycles and random 3-regular graphs.
+    such as cycles and random 3-regular graphs.  The order is computed once
+    per Graph object and kept on it, so the expander check and the exact
+    oracle on one graph share it.
     """
+    return g._elimination_steps
+
+
+def _greedy_elimination(g: Graph) -> tuple[tuple[int, tuple[int, ...]], ...]:
+    """Compute the steps of :func:`elimination_order`."""
     adj, deg = g.adj_masks, g.degrees
     unseen = list(deg)  # each vertex's unvisited neighbours
     visited = 0

@@ -264,7 +264,8 @@ def exact_log_z(
         if len(comp) == 1:
             total += math.log(q)
             continue
-        sub, _ = induced_subgraph(g, comp)
+        # a connected g is its own component, with its elimination order
+        sub = g if len(comp) == g.n else induced_subgraph(g, comp)[0]
         total += log_count_sum(_mono_histogram(sub, q).tolist(), beta)
     return total
 

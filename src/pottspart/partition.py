@@ -57,7 +57,7 @@ class PartitionParams:
 
     k: int
     C: float
-    lambdas: tuple[float, ...]  # ascending normalized-Laplacian eigenvalues
+    lambdas: tuple[float, ...]  # the k lowest normalized-Laplacian eigenvalues
     rho_star: float
     phi_in: float
     phi_out: float
@@ -72,7 +72,7 @@ class PartitionParams:
             raise PreconditionError(f"k={k} exceeds the vertex count {g.n}")
         if not (math.isfinite(C) and C > 0):
             raise PreconditionError(f"C must be a positive real, got {C}")
-        spectrum = normalized_laplacian_spectrum(g)
+        spectrum = normalized_laplacian_spectrum(g, k)
         lambdas = tuple(
             0.0 if lam <= _EIGENVALUE_ZERO_SNAP else lam
             for lam in spectrum.eigenvalues

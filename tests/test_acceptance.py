@@ -401,7 +401,7 @@ def test_criterion_5_spectral_sanity(capsys):
             random_regular(50, 3, seed=2), bridged(20),
         ]
         for g in catalog:
-            lam = normalized_laplacian_spectrum(g).eigenvalues
+            lam = normalized_laplacian_spectrum(g, g.n).eigenvalues
             assert lam[0] <= 1e-10
             assert lam[-1] <= 2 + 1e-10
             if g.n <= 14:

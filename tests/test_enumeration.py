@@ -303,6 +303,24 @@ def test_elimination_order_visits_each_vertex_and_leaves_it_after_its_neighbours
         frontier -= set(gone)
 
 
+def test_an_expander_request_orders_its_graph_once(monkeypatch):
+    # the expander check and the exact oracle both contract along the order
+    from pottspart.potts import approx_log_z_expander, required_beta_expander
+
+    greedy = graphs._greedy_elimination
+    calls = []
+    monkeypatch.setattr(
+        graphs, "_greedy_elimination", lambda g: calls.append(g.n) or greedy(g)
+    )
+    g = random_regular(16, 3, 0)
+    alpha = 0.5
+    beta = 1.1 * required_beta_expander(2, g.max_degree, alpha)
+    result = approx_log_z_expander(g, 2, beta, math.exp(-g.n), alpha)
+    assert result.mode == "bruteforce"
+    assert result.log_z == exact_log_z(g, 2, beta)
+    assert calls == [16]
+
+
 @given(_graphs_up_to_12())
 @settings(max_examples=150, deadline=None)
 def test_least_boundaries_match_gray_scan(g):

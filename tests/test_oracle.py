@@ -341,7 +341,7 @@ class TestKWayExpansion:
         rng = random.Random(19)
         for _ in range(6):
             g = _random_connected(rng, rng.randrange(4, 8))
-            spec = normalized_laplacian_spectrum(g)
+            spec = normalized_laplacian_spectrum(g, 3)
             for k in (2, 3):
                 lam = spec.eigenvalue(k)
                 assert float(k_way_expansion(g, k)) >= lam / 2 - 1e-9

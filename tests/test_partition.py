@@ -94,7 +94,7 @@ class TestPartitionParams:
         d = PartitionParams.from_graph(complete(4), 2).to_dict()
         assert d["k"] == 2
         assert set(d["constants"]) == {"rhoStar", "phiIn", "phiOut", "tau"}
-        assert len(d["lambda"]) == 4
+        assert len(d["lambda"]) == 2  # the k lowest
 
 
 class TestPhiAfterVertexRemoval:
@@ -202,9 +202,9 @@ class TestOneSpectrumPerGraph:
         calls = []
         spectrum = spectral_module.normalized_laplacian_spectrum
 
-        def counting_spectrum(g):
+        def counting_spectrum(g, k):
             calls.append(g.n)
-            return spectrum(g)
+            return spectrum(g, k)
 
         for module in (partition_module, spectral_module):
             monkeypatch.setattr(

@@ -820,7 +820,7 @@ class TestSsePipeline:
     def test_bad_model_is_refused_before_the_spectrum(self, monkeypatch):
         import pottspart.partition as partition_module
 
-        def no_spectrum(g):
+        def no_spectrum(g, k):
             raise AssertionError("the spectrum was computed")
 
         monkeypatch.setattr(

@@ -11,9 +11,11 @@ import pytest
 
 import pottspart.spectral as spectral_module
 from pottspart.errors import PreconditionError, VerificationError
-from pottspart.generate import random_regular
-from pottspart.graphs import Graph, boundary_size, components, volume
+from pottspart.cli import main
+from pottspart.generate import clique_chain, random_regular
+from pottspart.graphs import Graph, boundary_size, components, serialize_graph, volume
 from pottspart.spectral import (
+    Spectrum,
     _fix_sign,
     normalized_laplacian_spectrum,
     sweep_cut,
@@ -64,13 +66,13 @@ def _fiedler_cases() -> list[Graph]:
 
 class TestSpectrum:
     def test_k2(self):
-        s = normalized_laplacian_spectrum(complete(2))
+        s = normalized_laplacian_spectrum(complete(2), 2)
         assert s.eigenvalues[0] == pytest.approx(0.0, abs=1e-12)
         assert s.eigenvalues[1] == pytest.approx(2.0, abs=1e-12)
 
     def test_complete_graph_eigenvalues(self):
         for n in (3, 4, 6):
-            s = normalized_laplacian_spectrum(complete(n))
+            s = normalized_laplacian_spectrum(complete(n), n)
             assert s.eigenvalues[0] == pytest.approx(0.0, abs=1e-10)
             for lam in s.eigenvalues[1:]:
                 assert lam == pytest.approx(n / (n - 1), abs=1e-10)
@@ -79,20 +81,20 @@ class TestSpectrum:
         rng = random.Random(5)
         for _ in range(25):
             g = _random_connected(rng, rng.randint(2, 10))
-            s = normalized_laplacian_spectrum(g)
+            s = normalized_laplacian_spectrum(g, g.n)
             assert s.eigenvalues[0] <= 1e-10
             assert s.eigenvalues[-1] <= 2 + 1e-10
 
     def test_zero_eigenvalue_count_is_component_count(self):
         for g in (two_triangles(), cycle(5), complete(4)):
-            s = normalized_laplacian_spectrum(g)
+            s = normalized_laplacian_spectrum(g, g.n)
             zeros = sum(1 for lam in s.eigenvalues if lam < 1e-8)
             assert zeros == len(components(g))
 
     def test_deterministic_including_signs(self):
         g = petersen()
-        s1 = normalized_laplacian_spectrum(g)
-        s2 = normalized_laplacian_spectrum(g)
+        s1 = normalized_laplacian_spectrum(g, g.n)
+        s2 = normalized_laplacian_spectrum(g, g.n)
         assert s1.eigenvalues == s2.eigenvalues
         assert np.array_equal(s1.fiedler, s2.fiedler)
 
@@ -100,7 +102,7 @@ class TestSpectrum:
         # the first entry of largest magnitude is positive
         graphs = _fiedler_cases() + [_random_connected(random.Random(9), 8)]
         for g in graphs:
-            f = normalized_laplacian_spectrum(g).fiedler
+            f = normalized_laplacian_spectrum(g, g.n).fiedler
             big = np.abs(f).max()
             first = next(i for i in range(g.n) if abs(f[i]) == big)
             assert f[first] > 0
@@ -122,20 +124,20 @@ class TestSpectrum:
         graphs = _fiedler_cases() + [_random_connected(random.Random(41), 11)]
         for g in graphs:
             lam = np.linalg.eigvalsh(_textbook_laplacian(g))
-            s = normalized_laplacian_spectrum(g)
+            s = normalized_laplacian_spectrum(g, g.n)
             assert s.eigenvalues == tuple(float(x) for x in lam)
 
     def test_fiedler_eigen_equation(self):
         for g in _fiedler_cases():
             lap = _textbook_laplacian(g)
-            s = normalized_laplacian_spectrum(g)
+            s = normalized_laplacian_spectrum(g, g.n)
             f = s.fiedler
             assert f.shape == (g.n,)
             assert np.max(np.abs(lap @ f - s.eigenvalues[1] * f)) <= 1e-9
             assert abs(float(np.linalg.norm(f)) - 1.0) <= 1e-12
             sqrt_d = np.sqrt(np.array(g.degrees, float))
             assert abs(float(f @ sqrt_d)) <= 1e-9
-            assert np.array_equal(normalized_laplacian_spectrum(g).fiedler, f)
+            assert np.array_equal(normalized_laplacian_spectrum(g, g.n).fiedler, f)
 
     def test_a_perturbed_solve_fails_the_residual_check(self, monkeypatch):
         solve = np.linalg.solve
@@ -147,19 +149,171 @@ class TestSpectrum:
 
         monkeypatch.setattr(spectral_module.np.linalg, "solve", perturbed)
         with pytest.raises(VerificationError, match="residual"):
-            normalized_laplacian_spectrum(random_regular(50, 3, 0))
+            normalized_laplacian_spectrum(random_regular(50, 3, 0), 2)
 
     def test_isolated_vertex_rejected(self):
         g = Graph.from_edges([(0, 1)], n=3, allow_isolated=True)
         with pytest.raises(PreconditionError, match="isolated"):
-            normalized_laplacian_spectrum(g)
+            normalized_laplacian_spectrum(g, g.n)
+
+    def test_spectrum_checks_the_returned_values(self):
+        f = np.ones(4) / 2
+        Spectrum(eigenvalues=(0.0, 0.5, 2.0), fiedler=f)
+        for lam, match in (
+            ((0.0, 0.6, 0.5), "ascending"),
+            ((-2e-10, 0.5), "zero"),
+            ((2e-10, 0.5), "zero"),
+            ((0.0, 2 + 2e-10), "exceeds 2"),
+        ):
+            with pytest.raises(VerificationError, match=match):
+                Spectrum(eigenvalues=lam, fiedler=f)
+        with pytest.raises(VerificationError, match="Fiedler"):
+            Spectrum(eigenvalues=(0.0, 0.5, 1.0), fiedler=np.ones(2))
+
+    def test_one_fiedler_entry_per_vertex(self, monkeypatch):
+        # a vector with one entry too many passes Spectrum's own check
+        # (at least k entries) but not the check against g.n
+        dense = spectral_module._dense_spectrum
+
+        def padded(*args):
+            eigenvalues, x = dense(*args)
+            return eigenvalues, np.append(x, 0.0)
+
+        monkeypatch.setattr(spectral_module, "_dense_spectrum", padded)
+        with pytest.raises(VerificationError, match="shape"):
+            normalized_laplacian_spectrum(petersen(), 3)
+
+    def test_k_out_of_range(self):
+        for k in (1, 11):
+            with pytest.raises(PreconditionError, match="spectrum size"):
+                normalized_laplacian_spectrum(petersen(), k)
 
     def test_eigenvalue_accessor_1_indexed(self):
-        s = normalized_laplacian_spectrum(complete(3))
+        s = normalized_laplacian_spectrum(complete(3), 3)
         assert s.eigenvalue(1) == s.eigenvalues[0]
         assert s.eigenvalue(3) == s.eigenvalues[2]
         with pytest.raises(PreconditionError):
             s.eigenvalue(4)
+
+
+def _two_cliques(s: int) -> Graph:
+    edges = [(i, j) for i in range(s) for j in range(i + 1, s)]
+    return Graph.from_edges(edges + [(s + i, s + j) for i, j in edges])
+
+
+def _cyclic_lift(base: Graph, r: int, seed: int) -> Graph:
+    """An r-fold cover of base: edge (u, v) joins (u, i) to (v, i + s_uv)."""
+    rng = random.Random(seed)
+    edges = []
+    for u, v in base.edges:
+        s = rng.randrange(r)
+        edges += [(u * r + i, v * r + (i + s) % r) for i in range(r)]
+    return Graph.from_edges(edges)
+
+
+def _lanczos_cases() -> list[tuple[Graph, int]]:
+    # lambda_2 = lambda_3 on cycle(12); lambda_2..lambda_6 = 2/3 on
+    # Petersen; all of lambda_2..lambda_8 = 8/7 on K_8; lambda_2 = 0 on two
+    # cliques; four small eigenvalues below a gap on the clique chain.  On
+    # the 3-fold cover, lambda_2 = lambda_3 comes from a complex character
+    # and its conjugate among many distinct eigenvalues, so the Krylov space
+    # converges long before it fills the space, and one vector per block
+    # would return lambda_4 as lambda_3
+    return [
+        (cycle(12), 3),
+        (petersen(), 6),
+        (complete(8), 8),
+        (_two_cliques(5), 3),
+        (clique_chain(4, 30, 1), 5),
+        (random_regular(200, 3, 0), 3),
+        (_cyclic_lift(random_regular(100, 3, 4), 3, 4), 3),
+    ]
+
+
+@pytest.fixture
+def lanczos_only(monkeypatch):
+    """Block Lanczos at every size, room for the whole space, no dense route."""
+
+    def no_dense(*args):
+        raise AssertionError("the dense route ran")
+
+    monkeypatch.setattr(spectral_module, "_LANCZOS_MIN_N", 0)
+    monkeypatch.setattr(spectral_module, "_LANCZOS_CAP", 1.0)
+    monkeypatch.setattr(spectral_module, "_dense_spectrum", no_dense)
+
+
+class TestBlockLanczos:
+    @pytest.mark.parametrize(
+        "g, k",
+        _lanczos_cases(),
+        ids=["cycle12", "petersen", "K8", "2K5", "chain", "rr200", "lift300"],
+    )
+    def test_matches_eigvalsh_on_the_k_lowest(self, lanczos_only, g, k):
+        s = normalized_laplacian_spectrum(g, k)
+        lap = _textbook_laplacian(g)
+        assert len(s.eigenvalues) == k
+        lam = np.linalg.eigvalsh(lap)[:k]
+        assert np.max(np.abs(np.array(s.eigenvalues) - lam)) <= 1e-12
+        f = s.fiedler
+        assert f.shape == (g.n,)
+        assert np.max(np.abs(lap @ f - s.eigenvalues[1] * f)) <= 1e-9
+        assert abs(float(np.linalg.norm(f)) - 1.0) <= 1e-12
+        assert abs(float(f @ np.sqrt(np.array(g.degrees, float)))) <= 1e-9
+        assert np.array_equal(normalized_laplacian_spectrum(g, k).fiedler, f)
+
+    def test_an_unconverged_ritz_pair_fails_its_residual_check(
+        self, lanczos_only, monkeypatch
+    ):
+        # accepting any residual stops at the first check, at dimension 32
+        monkeypatch.setattr(spectral_module, "_LANCZOS_RESIDUAL", 1.0)
+        with pytest.raises(VerificationError, match="Ritz pair"):
+            normalized_laplacian_spectrum(random_regular(200, 3, 0), 3)
+
+    @pytest.mark.parametrize("cap", [0.0, 0.2])
+    def test_the_capped_fallback_is_the_dense_spectrum_bit_for_bit(
+        self, monkeypatch, cap
+    ):
+        # cap 0 leaves no room for one block; at 0.2 the basis grows to
+        # the cap or to the residual trend's verdict first
+        g = random_regular(200, 3, 0)
+        dense = normalized_laplacian_spectrum(g, 3)
+        monkeypatch.setattr(spectral_module, "_LANCZOS_MIN_N", 0)
+        monkeypatch.setattr(spectral_module, "_LANCZOS_CAP", cap)
+        capped = normalized_laplacian_spectrum(g, 3)
+        assert capped.eigenvalues == dense.eigenvalues
+        assert np.array_equal(capped.fiedler, dense.fiedler)
+
+    @pytest.mark.parametrize(
+        "g, k", [(clique_chain(4, 30, 1), 5), (random_regular(300, 3, 1), 3)]
+    )
+    def test_partition_payload_is_the_same_on_both_routes(
+        self, monkeypatch, tmp_path, capsys, g, k
+    ):
+        path = tmp_path / "g.el"
+        path.write_text(serialize_graph(g))
+        argv = ["partition", "--k", str(k), str(path)]
+        assert main(argv) == 0
+        dense = capsys.readouterr().out
+        monkeypatch.setattr(spectral_module, "_LANCZOS_MIN_N", 0)
+        monkeypatch.setattr(spectral_module, "_LANCZOS_CAP", 1.0)
+        assert main(argv) == 0
+        assert capsys.readouterr().out == dense
+        assert '"verified":true' in dense
+
+    def test_random_cubic_graph_above_the_crossover(self, monkeypatch):
+        # the partition-scale instance, with the module's own constants
+        g = random_regular(2000, 3, 1)
+        calls = []
+        dense = spectral_module._dense_spectrum
+        monkeypatch.setattr(
+            spectral_module,
+            "_dense_spectrum",
+            lambda *args: calls.append(1) or dense(*args),
+        )
+        s = normalized_laplacian_spectrum(g, 3)
+        assert calls == []
+        lam = np.linalg.eigvalsh(_textbook_laplacian(g))[:3]
+        assert np.max(np.abs(np.array(s.eigenvalues) - lam)) <= 1e-12
 
 
 class TestSweepCut:
@@ -203,7 +357,7 @@ class TestSweepCut:
         # the float spectrum's lambda_2 is only near zero; the component
         # cut reports the true value whether or not a spectrum is passed
         g = two_triangles()
-        spectrum = normalized_laplacian_spectrum(g)
+        spectrum = normalized_laplacian_spectrum(g, g.n)
         assert sweep_cut(g).lambda2 == 0.0
         assert sweep_cut(g, spectrum).lambda2 == 0.0
         assert sweep_cut(g, spectrum) == sweep_cut(g)
