@@ -109,8 +109,10 @@ def _build_parser() -> _Parser:
         type=float,
         required=True,
         help=(
-            "accuracy target: the approximation guarantee for mode sse, the "
-            "truncation parameter for the other modes"
+            "accuracy xi, clamped to 0.25; epsBound is xi, except where parts "
+            "are cut out (mode with-partition, or sse with a part below n/k "
+            "vertices): then (s+1)*xi + beta*X/2 for s cut parts and X cut "
+            "edges"
         ),
     )
     approx.add_argument(
@@ -127,7 +129,12 @@ def _build_parser() -> _Parser:
         help="partitioner constant (modes sse/partition; default 1.0)",
     )
     approx.add_argument(
-        "--alpha", type=float, help="certified edge expansion (mode expander)"
+        "--alpha",
+        type=float,
+        help=(
+            "edge expansion of the graph (mode expander); checked exactly "
+            "for n <= 20, trusted above that"
+        ),
     )
     approx.add_argument(
         "--parts",

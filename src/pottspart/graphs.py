@@ -6,9 +6,11 @@ Every Graph is built by one private constructor, ``_graph``, from sorted
 neighbour tuples: it derives the edge list, degrees, edge count and
 neighbour bitmasks and owns the two structural refusals (no edges, an
 isolated vertex).  ``Graph.from_edges`` and ``parse_graph`` check each edge
-(with their own messages) before calling it; ``induced_subgraph`` calls it
-on the relabelled adjacency of its parent.
-All set quantities (volume, boundary, closure, cut counts, conductance) are
+(with their own messages) before calling it and, when the ids outnumber
+the 2m edge endpoints, name the smallest id no edge names
+(``_refuse_missing_ids``), so a huge id costs no per-vertex list;
+``induced_subgraph`` calls it on the relabelled adjacency of its parent.
+All set quantities (volume, boundary, cut counts, conductance) are
 exact integer/rational computations.
 """
 
@@ -17,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Collection, Iterable, Sequence
 
 import numpy as np
 
@@ -67,6 +69,8 @@ class Graph:
             raise PreconditionError(
                 f"edge endpoint {max_v} out of range for declared n={n}"
             )
+        if edge_set and not allow_isolated:
+            _refuse_missing_ids(n, edge_set)
         return _graph(_sorted_neighbours(n, edge_set), allow_isolated)
 
     @property
@@ -102,6 +106,22 @@ def _graph(adj: tuple[tuple[int, ...], ...], allow_isolated: bool) -> Graph:
     # the neighbours are distinct, so summing their bits is or-ing them
     masks = tuple(sum(1 << v for v in ns) for ns in adj)
     return Graph(len(adj), adj, edges, degrees, m, masks)
+
+
+def _refuse_missing_ids(n: int, edge_set: Collection[tuple[int, int]]) -> None:
+    """Refuse, as _graph would, a vertex of 0..n-1 that no edge names.
+
+    When n exceeds the 2m edge endpoints some id is missing, and building
+    adjacency for all n ids would cost more than the input: then the sorted
+    distinct endpoints are compared with 0..n-1 and the smallest missing id
+    is named, at a cost in m.  Otherwise n <= 2m, and _graph's own check
+    costs no more than the edges do.
+    """
+    if n > 2 * len(edge_set):
+        ids = sorted({v for e in edge_set for v in e})
+        # ids[i] >= i, so the first i with ids[i] != i is missing
+        missing = next((i for i, v in enumerate(ids) if v != i), len(ids))
+        raise PreconditionError(f"vertex {missing} is isolated")
 
 
 def _sorted_neighbours(
@@ -176,6 +196,7 @@ def parse_graph(text: str) -> Graph:
         raise ParseError("no edges: empty graph text")
     n = 1 + max(v for _, v in edge_set)
     try:
+        _refuse_missing_ids(n, edge_set)
         return _graph(_sorted_neighbours(n, edge_set), allow_isolated=False)
     except PreconditionError as exc:
         raise ParseError(str(exc)) from None
@@ -189,10 +210,6 @@ def serialize_graph(g: Graph) -> str:
 def volume(g: Graph, s: VertexSet) -> int:
     """Sum of degrees over the set (degrees in g)."""
     return sum(g.degrees[v] for v in _vertex_tuple(g, s))
-
-
-def total_volume(g: Graph) -> int:
-    return 2 * g.m
 
 
 def cross_edges(g: Graph, s: VertexSet, t: VertexSet) -> int:
@@ -216,21 +233,6 @@ def cross_edges_mask(g: Graph, s_mask: int, t_mask: int) -> int:
 def boundary_size(g: Graph, s: VertexSet) -> int:
     """Number of edges with exactly one endpoint in s."""
     return cross_edges_mask(g, mask_of(g, s), (1 << g.n) - 1)
-
-
-def closure_size(g: Graph, s: VertexSet) -> int:
-    """Number of edges with at least one endpoint in s."""
-    s_mask = mask_of(g, s)
-    inside2 = 0
-    outward = 0
-    mk = s_mask
-    while mk:
-        low = mk & -mk
-        v = low.bit_length() - 1
-        mk ^= low
-        inside2 += (g.adj_masks[v] & s_mask).bit_count()
-        outward += (g.adj_masks[v] & ~s_mask).bit_count()
-    return inside2 // 2 + outward
 
 
 def set_conductance(g: Graph, s: VertexSet) -> Fraction:
@@ -284,10 +286,6 @@ def components(g: Graph) -> list[tuple[int, ...]]:
                     stack.append(u)
         comps.append(tuple(sorted(comp)))
     return comps
-
-
-def is_connected(g: Graph) -> bool:
-    return len(components(g)) == 1
 
 
 def subset_scan(g: Graph):

@@ -1,8 +1,9 @@
 """Exact ground truth.
 
 Everything here is exact and computed under hard budgets; nothing is
-approximated.  These functions are the reference values the rest of the
-package is tested against.
+approximated.  :func:`exact_log_z` is the exact route of the pipelines and
+of the ``oracle`` and ``verify`` commands; :func:`min_conductance`
+certifies small parts in :func:`partition.verify_partition`.
 
 :func:`exact_log_z` builds the exact histogram of monochromatic edge counts
 by a sum-product contraction along :func:`graphs.elimination_order`
@@ -11,20 +12,10 @@ frontier vertex, whose size depends on the frontier, not on n, so it stays
 small on graphs of small pathwidth such as cycles and random 3-regular
 graphs.  :func:`graphs.is_alpha_expander` accepts by the min-plus twin of
 the same contraction.  The state budget still counts all q**n colourings,
-so what it refuses does not depend on the graph's shape.
-
-What the table cannot hold, and the restricted sums behind
-:func:`exact_log_z_psi` and :func:`exact_log_z_star`, is enumerated in
-blocks.  The colourings of the first L vertices, q**L <= 2**15 of them, are
-laid out once as numpy vectors, and a Python loop runs over the q**(n-L)
-colourings of the others.  Each step adds a scalar for the edges among the
-high vertices and, for each edge between the two sides, one comparison of a
-precomputed low column with a high colour, so q**n states cost q**(n-L)
-vector steps of q**L entries.  The subset scans behind the conductance
-functions, and behind an expansion check that fails or whose table would
-be too large, have the same shape: :func:`graphs.subset_scan` yields blocks
-of 2**15 low subsets, each stepped from the one before by about two vector
-adds of int16 gains (for n <= 20).
+so what it refuses does not depend on the graph's shape.  What the table
+cannot hold, :func:`_hand_off` enumerates in blocks
+(:func:`_mono_blocks`).  The subset scan behind :func:`min_conductance`
+yields blocks of 2**15 low subsets (:func:`graphs.subset_scan`).
 """
 
 from __future__ import annotations
@@ -32,12 +23,12 @@ from __future__ import annotations
 import itertools
 import math
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 
-from .budgets import GROUND_STATE_CAP, STATE_BUDGET
-from .errors import BudgetError, PreconditionError, VerificationError
+from .budgets import STATE_BUDGET
+from .errors import BudgetError, PreconditionError
 from .graphs import (
     SUBSET_ENUM_MAX_N,
     Graph,
@@ -47,54 +38,12 @@ from .graphs import (
     subset_scan,
     vertices_of_mask,
 )
-from .polymers import (
-    POLYMER_SIZE_CAP,
-    boundary_edge_set,
-    check_q_beta,
-    enumerate_polymers,
-    ground_colouring,
-    is_sparse,
-    normalize_parts,
-    polymer_log_weights,
-)
-from .util import OnlineLogSumExp, as_fraction, log_count_sum, log_sum_exp
+from .polymers import check_q_beta
+from .util import log_count_sum
 
-__all__ = [
-    "STATE_BUDGET",
-    "exact_log_z",
-    "exact_log_z_psi",
-    "exact_log_z_star",
-    "exact_log_xi",
-    "sparse_deviation_log_sum",
-    "min_conductance",
-    "expansion_profile",
-    "k_way_expansion",
-]
-
-XI_POLYMER_BUDGET = 10**3
-XI_FAMILY_BUDGET = 10**7
-KWAY_MAX_N = 14
+__all__ = ["STATE_BUDGET", "exact_log_z", "min_conductance"]
 
 _BLOCK = 1 << 15
-
-
-def _low_block(n: int, q: int) -> np.ndarray:
-    """Colours of the low vertices in every state of the low block.
-
-    The low vertices are 0..L-1 for the largest L <= n with q**L <= _BLOCK.
-    Row v of the (L, q**L) result is vertex v's colour in each low state:
-    state s gives vertex v the base-q digit v of s (vertex 0 least
-    significant).
-    """
-    low = 0
-    while low < n and q ** (low + 1) <= _BLOCK:
-        low += 1
-    states = np.arange(q**low, dtype=np.int64)
-    # q <= _BLOCK whenever there is a low vertex, so colours fit 16 bits
-    cols = np.empty((low, q**low), dtype=np.uint8 if q <= 256 else np.uint16)
-    for v in range(low):
-        cols[v] = states // q**v % q
-    return cols
 
 
 def _mono_blocks(
@@ -107,7 +56,7 @@ def _mono_blocks(
     """Yield (high, mono) for each colouring of the high vertices.
 
     ``cols`` is a table of low states: row v gives low vertex v's colour in
-    each state, as in :func:`_low_block`; the high vertices are L..n-1, and
+    each state; the high vertices are L..n-1, and
     ``high[i]`` is the colour of vertex L+i.  The colourings come in
     ``itertools.product`` order of their reversed digits.  ``mono[s]`` counts
     the monochromatic edges of the colouring made of low state s and
@@ -270,196 +219,6 @@ def exact_log_z(
     return total
 
 
-def exact_log_z_psi(
-    g: Graph,
-    parts: Sequence[Iterable[int]],
-    psi: Sequence[int],
-    q: int,
-    beta: float,
-) -> float:
-    """log of the colouring sum restricted to states close to one ground state.
-
-    Close means: in every part, a strict majority of vertices receives the
-    ground state's colour for that part.
-    """
-    parts, ground = ground_colouring(g, parts, psi, q, beta)
-    if q**g.n > STATE_BUDGET:
-        raise BudgetError(
-            f"enumeration needs {q**g.n} states, over budget {STATE_BUDGET}"
-        )
-    cols = _low_block(g.n, q)
-    low = cols.shape[0]
-    # per part: its low vertices' agreement vector, its high vertices
-    # (offset, ground colour) and its size
-    checks = []
-    for part in parts:
-        agree = np.zeros(cols.shape[1], dtype=np.int32)
-        for v in part:
-            if v < low:
-                agree += cols[v] == ground[v]
-        tops = [(v - low, ground[v]) for v in part if v >= low]
-        checks.append((agree, tops, len(part)))
-    hist = np.zeros(g.m + 1, dtype=np.int64)
-    for high, mono in _mono_blocks(g.n, g.edges, q, cols):
-        ok = np.ones(cols.shape[1], dtype=bool)
-        for agree, tops, size in checks:
-            ok &= 2 * (agree + sum(high[j] == c for j, c in tops)) > size
-        hist += np.bincount(mono[ok], minlength=g.m + 1)
-    return log_count_sum(hist.tolist(), beta)
-
-
-def exact_log_z_star(
-    g: Graph,
-    parts: Sequence[Iterable[int]],
-    q: int,
-    beta: float,
-) -> float:
-    """log of the colouring sum over states close to any ground state.
-
-    Computed in one pass; each state is close to at most one ground state,
-    and the per-ground-state split is re-summed as an internal consistency
-    check.
-    """
-    check_q_beta(q, beta, zero_beta_ok=True)
-    parts = normalize_parts(g, parts)
-    ell = len(parts)
-    if q**ell > GROUND_STATE_CAP:
-        raise BudgetError(f"{q**ell} ground states exceed budget {GROUND_STATE_CAP}")
-    if q**g.n > STATE_BUDGET:
-        raise BudgetError(
-            f"enumeration needs {q**g.n} states, over budget {STATE_BUDGET}"
-        )
-    cols = _low_block(g.n, q)
-    low, size = cols.shape
-    states = np.arange(size)
-    # per part: its low vertices' colour counts (row c counts colour c) and
-    # its high vertices' offsets
-    tallies = []
-    for part in parts:
-        counts = np.zeros((q, size), dtype=np.int32)
-        for v in part:
-            if v < low:
-                counts[cols[v], states] += 1
-        tallies.append((counts, [v - low for v in part if v >= low], len(part)))
-    width = g.m + 1
-    hist = np.zeros(q**ell * width, dtype=np.int64)
-    for high, mono in _mono_blocks(g.n, g.edges, q, cols):
-        ok = np.ones(size, dtype=bool)
-        psi_idx = np.zeros(size, dtype=np.int64)
-        scale = 1
-        for counts, tops, part_size in tallies:
-            extra = np.zeros((q, 1), dtype=np.int32)
-            for j in tops:
-                extra[high[j]] += 1
-            total = counts + extra
-            ok &= 2 * total.max(axis=0) > part_size
-            psi_idx += total.argmax(axis=0) * scale
-            scale *= q
-        combined = psi_idx[ok] * width + mono[ok]
-        hist += np.bincount(combined, minlength=len(hist))
-    # an empty slice gives -inf, which adds exactly 0.0 to the re-sum
-    per_psi = [
-        log_count_sum(hist[w * width : (w + 1) * width].tolist(), beta)
-        for w in range(q**ell)
-    ]
-    total = log_sum_exp(
-        [math.log(int(c)) + beta * (j % width) for j, c in enumerate(hist) if c]
-    )
-    recombined = log_sum_exp(per_psi)
-    if abs(recombined - total) > 1e-9:
-        raise VerificationError(
-            "per-ground-state split does not re-sum to the total: "
-            f"{recombined} vs {total}"
-        )
-    return total
-
-
-def exact_log_xi(
-    g: Graph,
-    parts: Sequence[Iterable[int]],
-    psi: Sequence[int],
-    q: int,
-    beta: float,
-) -> float:
-    """log of the polymer partition function by full family enumeration.
-
-    Enumerates every family of pairwise-compatible polymers (compatibility
-    decided definitionally from boundary edge sets) and sums the weight
-    products.
-    """
-    parts, _ = ground_colouring(g, parts, psi, q, beta)
-    if g.n // 2 > POLYMER_SIZE_CAP:
-        raise BudgetError(
-            f"polymers may have up to {g.n // 2} vertices, over cap {POLYMER_SIZE_CAP}"
-        )
-    polymers = enumerate_polymers(g, parts, max_size=max(1, g.n // 2))
-    t = len(polymers)
-    if t > XI_POLYMER_BUDGET:
-        raise BudgetError(f"{t} polymers exceed budget {XI_POLYMER_BUDGET}")
-    lws = polymer_log_weights(g, parts, psi, polymers, q, beta)
-    boundary = [boundary_edge_set(g, p.vertices) for p in polymers]
-    vsets = [set(p.vertices) for p in polymers]
-    incompat = [0] * t
-    for i in range(t):
-        for j in range(i + 1, t):
-            if (vsets[i] & vsets[j]) or (boundary[i] & boundary[j]):
-                incompat[i] |= 1 << j
-                incompat[j] |= 1 << i
-
-    acc = OnlineLogSumExp()
-    count = 0
-
-    def rec(start: int, banned: int, log_prod: float) -> None:
-        nonlocal count
-        count += 1
-        if count > XI_FAMILY_BUDGET:
-            raise BudgetError(
-                f"compatible-family enumeration exceeded budget {XI_FAMILY_BUDGET}"
-            )
-        acc.add(log_prod)
-        for j in range(start, t):
-            if banned >> j & 1:
-                continue
-            rec(j + 1, banned | incompat[j], log_prod + lws[j])
-
-    rec(0, 0, 0.0)
-    return acc.result()
-
-
-def sparse_deviation_log_sum(
-    g: Graph,
-    parts: Sequence[Iterable[int]],
-    psi: Sequence[int],
-    q: int,
-    beta: float,
-    *,
-    budget: int = 2 * 10**6,
-) -> float:
-    """log of the colouring sum over states whose disagreement set is sparse.
-
-    Pure-Python state loop, fully independent of the polymer machinery: for
-    each colouring, the set of vertices disagreeing with the ground state is
-    checked for sparseness definitionally.
-    """
-    parts, ground = ground_colouring(g, parts, psi, q, beta)
-    n = g.n
-    if q**n > budget:
-        raise BudgetError(f"enumeration needs {q**n} states, over budget {budget}")
-    acc = OnlineLogSumExp()
-    state = [0] * n
-    for _ in range(q**n):
-        deviating = [v for v in range(n) if state[v] != ground[v]]
-        if is_sparse(g, deviating, parts):
-            mono = sum(1 for a, b in g.edges if state[a] == state[b])
-            acc.add(beta * mono)
-        for v in range(n):
-            state[v] += 1
-            if state[v] < q:
-                break
-            state[v] = 0
-    return acc.result()
-
-
 # ---------------------------------------------------------------------------
 # conductance by subset enumeration
 # ---------------------------------------------------------------------------
@@ -533,71 +292,3 @@ def min_conductance(g: Graph) -> tuple[Fraction, tuple[int, ...]]:
     if best is None:
         raise PreconditionError("graph has no nonempty set within half the volume")
     return Fraction(best[0], best[1]), best[2]
-
-
-def expansion_profile(g: Graph, volume_bound) -> Fraction:
-    """Minimum conductance over nonempty sets of volume at most the bound."""
-    if g.n > SUBSET_ENUM_MAX_N:
-        raise BudgetError(
-            f"subset enumeration limited to n <= {SUBSET_ENUM_MAX_N}, got {g.n}"
-        )
-    bound = as_fraction(volume_bound, "volume_bound")
-    # an integer volume is at most the bound exactly when it is at most its
-    # floor; clipping to [-1, 2m] keeps that in int64
-    cap = max(-1, min(bound.numerator // bound.denominator, 2 * g.m))
-    best: tuple[int, int] | None = None
-    for _, _, bnd, vol in subset_scan(g):
-        found = _block_min(bnd, vol, (vol > 0) & (vol <= cap))
-        if found is not None and (best is None or found[0] * best[1] < best[0] * found[1]):
-            best = found[:2]
-    if best is None:
-        raise PreconditionError(
-            f"no nonempty set has volume at most {bound}; bound below min degree"
-        )
-    return Fraction(best[0], best[1])
-
-
-def k_way_expansion(g: Graph, k: int) -> Fraction:
-    """Minimum over k disjoint nonempty sets of the maximum conductance."""
-    if g.n > KWAY_MAX_N:
-        raise BudgetError(f"k-way enumeration limited to n <= {KWAY_MAX_N}, got {g.n}")
-    if not (1 <= k <= g.n):
-        raise PreconditionError(f"k must be between 1 and {g.n}, got {k}")
-    size = 1 << g.n
-    # the scan's masks run 0, 1, ..., size - 1 over its blocks
-    blocks = list(subset_scan(g))
-    bnd_arr = np.concatenate([block[2] for block in blocks]).tolist()
-    vol_arr = np.concatenate([block[3] for block in blocks]).tolist()
-
-    values = sorted({Fraction(b, v) for b, v in zip(bnd_arr[1:], vol_arr[1:])})
-
-    def feasible(threshold: Fraction) -> bool:
-        num, den = threshold.numerator, threshold.denominator
-        qual = bytearray(size)
-        for m in range(1, size):
-            if bnd_arr[m] * den <= num * vol_arr[m]:
-                qual[m] = 1
-        best = bytearray(size)
-        for m in range(1, size):
-            vbit = m & -m
-            res = best[m ^ vbit]
-            sub = m
-            while sub:
-                if sub & vbit and qual[sub]:
-                    cand = 1 + best[m ^ sub]
-                    if cand > res:
-                        res = cand
-                sub = (sub - 1) & m
-            best[m] = min(res, 255)
-        return best[size - 1] >= k
-
-    lo, hi = 0, len(values) - 1
-    if not feasible(values[hi]):
-        raise VerificationError("k disjoint nonempty sets must always exist for k <= n")
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if feasible(values[mid]):
-            hi = mid
-        else:
-            lo = mid + 1
-    return values[lo]

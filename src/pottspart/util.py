@@ -32,32 +32,6 @@ def log_count_sum(counts: Sequence[int], beta: float) -> float:
     return log_sum_exp([math.log(c) + beta * x for x, c in enumerate(counts) if c])
 
 
-class OnlineLogSumExp:
-    """Streaming log-sum-exp accumulator with O(1) memory.
-
-    Deterministic for a fixed insertion order.
-    """
-
-    def __init__(self) -> None:
-        self._max = float("-inf")
-        self._sum = 0.0  # sum of exp(v - self._max) over added values
-
-    def add(self, value: float) -> None:
-        if value <= self._max:
-            self._sum += math.exp(value - self._max)
-        else:
-            if math.isinf(self._max):
-                self._sum = 1.0
-            else:
-                self._sum = self._sum * math.exp(self._max - value) + 1.0
-            self._max = value
-
-    def result(self) -> float:
-        if math.isinf(self._max):
-            return float("-inf")
-        return self._max + math.log(self._sum)
-
-
 def as_fraction(x: int | float | Fraction, name: str) -> Fraction:
     """Lift the argument ``name`` to an exact Fraction (floats convert exactly).
 

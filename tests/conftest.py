@@ -7,6 +7,7 @@ import itertools
 import pytest
 
 from pottspart.graphs import Graph
+from reference import is_connected
 
 
 def cycle(n: int) -> Graph:
@@ -66,8 +67,6 @@ def cube() -> Graph:
 
 def all_connected_graphs(n: int):
     """Every labeled connected graph on exactly n vertices (no isolated)."""
-    from pottspart.graphs import is_connected
-
     pairs = list(itertools.combinations(range(n), 2))
     out = []
     for bits in range(1, 1 << len(pairs)):

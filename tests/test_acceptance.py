@@ -34,23 +34,24 @@ from conftest import (
     triangles_with_bridge,
     two_triangles,
 )
-from pottspart.generate import clique_chain, random_regular
-from pottspart.graphs import (
-    Graph,
-    boundary_size,
-    components,
-    induced_subgraph,
-    volume,
-)
-from pottspart.oracle import (
+from reference import (
+    check_bijection,
+    check_deviation_identity,
+    check_factorization,
     exact_log_xi,
-    exact_log_z,
     exact_log_z_psi,
     exact_log_z_star,
     k_way_expansion,
-    min_conductance,
+    kp_condition_holds,
+    monochromatic,
     sparse_deviation_log_sum,
+    triangle_plus_k8,
+    triangle_plus_pendant,
+    two_triangles_plus_k6,
 )
+from pottspart.generate import clique_chain, random_regular
+from pottspart.graphs import Graph, boundary_size, volume
+from pottspart.oracle import exact_log_z, min_conductance
 from pottspart.partition import (
     PartitionParams,
     partition_into_expanders,
@@ -59,17 +60,12 @@ from pottspart.partition import (
 )
 from pottspart.polymers import (
     ClusterExpansion,
-    boundary_edge_set,
     check_weight_bounds,
-    compatible,
     enumerate_polymers,
     ground_colouring,
-    is_sparse,
-    kp_condition_holds,
     kp_margin,
     kp_sufficient_beta,
     polymer_log_weights,
-    restricted_log_partition,
     truncation_depth,
 )
 from pottspart.potts import (
@@ -119,25 +115,6 @@ def brute_expansion(g: Graph) -> float:
 
 def bridged(s: int) -> Graph:
     return clique_chain(2, s, 1)
-
-
-def triangle_plus_k8() -> Graph:
-    edges = list(itertools.combinations(range(3), 2))
-    edges += list(itertools.combinations(range(3, 11), 2))
-    edges.append((0, 3))
-    return Graph.from_edges(edges)
-
-
-def two_triangles_plus_k6() -> Graph:
-    edges = list(itertools.combinations(range(3), 2))
-    edges += list(itertools.combinations(range(3, 6), 2))
-    edges += list(itertools.combinations(range(6, 12), 2))
-    edges += [(0, 6), (3, 7)]
-    return Graph.from_edges(edges)
-
-
-def triangle_plus_pendant() -> Graph:
-    return Graph.from_edges(list(itertools.combinations(range(3), 2)) + [(0, 3)])
 
 
 def test_criterion_1_end_to_end_accuracy(capsys):
@@ -414,99 +391,6 @@ def test_criterion_5_spectral_sanity(capsys):
                     assert lam[k - 1] / 2 <= rho + 1e-12
 
 
-def _monochromatic(g, colours):
-    return sum(1 for u, v in g.edges if colours[u] == colours[v])
-
-
-def _check_deviation_identity(g, parts, q, beta=0.9):
-    owner = {}
-    for i, part in enumerate(parts):
-        for v in part:
-            owner[v] = i
-    for psi in itertools.product(range(q), repeat=len(parts)):
-        ground = [psi[owner[v]] for v in range(g.n)]
-        m_psi = _monochromatic(g, ground)
-        for bits in range(1, 1 << g.n):
-            u = tuple(v for v in range(g.n) if bits >> v & 1)
-            touching = len(boundary_edge_set(g, u)) + sum(
-                1 for a, b in g.edges if a in u and b in u
-            )
-            terms = []
-            choices = [[c for c in range(q) if c != ground[v]] for v in u]
-            for lam in itertools.product(*choices):
-                omega = list(ground)
-                for v, c in zip(u, lam):
-                    omega[v] = c
-                terms.append(
-                    beta * (_monochromatic(g, omega) - m_psi + touching)
-                )
-            got = restricted_log_partition(g, parts, psi, u, q, beta)
-            assert math.isclose(
-                got, log_sum_exp(terms), rel_tol=1e-10, abs_tol=1e-10
-            )
-
-
-def _check_factorization(g, parts, q, beta=0.9):
-    psi = tuple(i % q for i in range(len(parts)))
-    for bits in range(1, 1 << g.n):
-        u = tuple(v for v in range(g.n) if bits >> v & 1)
-        if not is_sparse(g, u, parts):
-            continue
-        sub, vs = induced_subgraph(g, u, allow_isolated=True)
-        comps = [tuple(vs[i] for i in comp) for comp in components(sub)]
-        if len(comps) < 2:
-            continue
-        whole = restricted_log_partition(g, parts, psi, u, q, beta) - beta * len(
-            boundary_edge_set(g, u)
-        )
-        split = sum(
-            restricted_log_partition(g, parts, psi, c, q, beta)
-            - beta * len(boundary_edge_set(g, c))
-            for c in comps
-        )
-        assert math.isclose(whole, split, rel_tol=1e-9, abs_tol=1e-9)
-
-
-def _check_bijection(g, parts):
-    cap = sum(len(p) // 2 for p in parts)
-    polymers = enumerate_polymers(g, parts, max_size=max(cap, 1))
-    by_vertices = {p.vertices: i for i, p in enumerate(polymers)}
-    families_from_sets = set()
-    for bits in range(1 << g.n):
-        u = tuple(v for v in range(g.n) if bits >> v & 1)
-        if not is_sparse(g, u, parts):
-            continue
-        if u:
-            sub, vs = induced_subgraph(g, u, allow_isolated=True)
-            fam = frozenset(
-                by_vertices[tuple(sorted(vs[i] for i in comp))]
-                for comp in components(sub)
-            )
-        else:
-            fam = frozenset()
-        assert fam not in families_from_sets
-        families_from_sets.add(fam)
-
-    incompat = [0] * len(polymers)
-    for i, j in itertools.combinations(range(len(polymers)), 2):
-        if not compatible(g, polymers[i], polymers[j]):
-            incompat[i] |= 1 << j
-            incompat[j] |= 1 << i
-    all_families = set()
-
-    def rec(start, banned, chosen):
-        all_families.add(frozenset(chosen))
-        for j in range(start, len(polymers)):
-            if banned >> j & 1:
-                continue
-            chosen.append(j)
-            rec(j + 1, banned | incompat[j], chosen)
-            chosen.pop()
-
-    rec(0, 0, [])
-    assert families_from_sets == all_families
-
-
 def _check_ground_state_sums(g, parts, q, beta=0.8):
     per_psi = [
         exact_log_z_psi(g, parts, psi, q, beta)
@@ -521,7 +405,7 @@ def _check_ground_state_sums(g, parts, q, beta=0.8):
     for psi in itertools.product(range(q), repeat=len(parts)):
         lhs = sparse_deviation_log_sum(g, parts, psi, q, beta)
         ground = ground_colouring(g, parts, psi, q, beta)[1]
-        rhs = beta * _monochromatic(g, ground) + exact_log_xi(g, parts, psi, q, beta)
+        rhs = beta * monochromatic(g, ground) + exact_log_xi(g, parts, psi, q, beta)
         assert math.isclose(lhs, rhs, rel_tol=1e-10, abs_tol=1e-10)
 
 
@@ -550,9 +434,9 @@ def test_criterion_6_decomposition_identities(capsys):
         ]
         for g, parts, q in instances + curated:
             assert g.n <= 8
-            _check_deviation_identity(g, parts, q)
-            _check_factorization(g, parts, q)
-            _check_bijection(g, parts)
+            check_deviation_identity(g, parts, q)
+            check_factorization(g, parts, tuple(i % q for i in range(len(parts))), q)
+            check_bijection(g, parts)
             _check_ground_state_sums(g, parts, q)
 
 

@@ -27,17 +27,17 @@ from pottspart.budgets import STATE_BUDGET
 from pottspart.errors import BudgetError, PreconditionError
 from pottspart.generate import random_regular
 from pottspart.graphs import Graph, is_alpha_expander, subset_scan, vertices_of_mask
-from pottspart.oracle import (
-    exact_log_z,
+from pottspart.oracle import exact_log_z, min_conductance
+from pottspart.util import log_count_sum
+
+import reference
+from conftest import complete, cube, cycle, petersen, triangles_with_bridge, two_triangles
+from reference import (
     exact_log_z_psi,
     exact_log_z_star,
     expansion_profile,
     k_way_expansion,
-    min_conductance,
 )
-from pottspart.util import log_count_sum
-
-from conftest import complete, cube, cycle, petersen, triangles_with_bridge, two_triangles
 
 
 # ---------------------------------------------------------------------------
@@ -72,7 +72,8 @@ def _random_tree_edges(rng, n):
 
 
 def _spy_mono_blocks(monkeypatch):
-    """Record (high vertices, table entries) of each block enumeration."""
+    """Record (high vertices, table entries) of each block enumeration, the
+    exact histogram's and the reference sums' alike."""
     calls = []
     real = oracle._mono_blocks
 
@@ -81,6 +82,7 @@ def _spy_mono_blocks(monkeypatch):
         return real(n, edges, q, cols, base)
 
     monkeypatch.setattr(oracle, "_mono_blocks", spy)
+    monkeypatch.setattr(reference, "_mono_blocks", spy)
     return calls
 
 
@@ -202,11 +204,13 @@ def test_high_colourings_leave_every_oracle_unchanged(monkeypatch, block):
                 )
             )
     monkeypatch.setattr(oracle, "_BLOCK", block)
+    monkeypatch.setattr(reference, "_BLOCK", block)
     calls = _spy_mono_blocks(monkeypatch)
     got = []
     for g, parts in cases:
         for q in (2, 3):
-            assert oracle._low_block(g.n, q).shape[0] < g.n
+            low, states = reference._low_block(g.n, q).shape
+            assert low < g.n
             calls.clear()
             log_z = exact_log_z(g, q, 0.7)
             # the dynamic program stopped at the block and left high vertices
@@ -220,6 +224,8 @@ def test_high_colourings_leave_every_oracle_unchanged(monkeypatch, block):
                     exact_log_z_star(g, parts, q, 0.7),
                 )
             )
+            # each restricted sum made one pass over the patched block
+            assert calls[1:] == [(g.n - low, states)] * 2
     assert got == expected
 
 
@@ -264,7 +270,7 @@ def test_random_regular_26_needs_no_outer_step(monkeypatch):
     g = random_regular(26, 3, 0)
     # the reference: every colouring, through the block enumeration alone
     hist = [0] * (g.m + 1)
-    for _, mono in oracle._mono_blocks(g.n, g.edges, 2, oracle._low_block(g.n, 2)):
+    for _, mono in oracle._mono_blocks(g.n, g.edges, 2, reference._low_block(g.n, 2)):
         for j, c in enumerate(np.bincount(mono, minlength=g.m + 1).tolist()):
             hist[j] += c
     calls = _spy_mono_blocks(monkeypatch)
@@ -578,11 +584,14 @@ def test_k_way_expansion_matches_gray_scan(monkeypatch):
     graphs_ = [_relabelled_cycle(8), cube(), triangles_with_bridge(), complete(5)]
     graphs_.append(_random_graph(random.Random(3), 9, 0.4))
     expected = {}
+    scans = []
     with monkeypatch.context() as patch:
-        patch.setattr(oracle, "subset_scan", _gray_blocks)
+        patch.setattr(reference, "subset_scan", lambda g: scans.append(1) or _gray_blocks(g))
         for i, g in enumerate(graphs_):
             for k in (2, 3):
                 expected[i, k] = k_way_expansion(g, k)
+    # every expected value came from the Gray scan
+    assert len(scans) == len(expected)
     for bits in (15, 3):
         monkeypatch.setattr(graphs, "_SUBSET_BLOCK_BITS", bits)
         for i, g in enumerate(graphs_):

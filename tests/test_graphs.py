@@ -2,18 +2,17 @@
 
 from __future__ import annotations
 
-import itertools
 import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from pottspart import graphs
 from pottspart.errors import ParseError, PreconditionError
 from pottspart.graphs import (
     Graph,
     boundary_size,
-    closure_size,
     components,
     connected_sets,
     cross_edges,
@@ -23,12 +22,12 @@ from pottspart.graphs import (
     parse_graph,
     serialize_graph,
     set_conductance,
-    total_volume,
     volume,
 )
 from pottspart.polymers import boundary_edge_set
 
 from conftest import complete, cycle, path, two_triangles
+from reference import closure_size, total_volume
 
 
 def _random_graph(rng: random.Random, n: int, p: float) -> Graph | None:
@@ -71,6 +70,8 @@ class TestConstruction:
     def test_isolated_allowed_when_requested(self):
         g = Graph.from_edges([(0, 1)], n=3, allow_isolated=True)
         assert g.degrees == (1, 1, 0)
+        g = Graph.from_edges([(0, 1), (1, 4)], allow_isolated=True)
+        assert g.degrees == (1, 2, 0, 0, 1)
 
     def test_empty_rejected(self):
         with pytest.raises(PreconditionError):
@@ -172,6 +173,10 @@ class TestOneConstructor:
              "vertex 2 is isolated"),
             (lambda: Graph.from_edges([(0, 2)]), PreconditionError,
              "vertex 1 is isolated"),
+            (lambda: Graph.from_edges([(0, 2), (2, 5), (4, 7)]), PreconditionError,
+             "vertex 1 is isolated"),
+            (lambda: Graph.from_edges([(0, 1), (2, 3)], n=6), PreconditionError,
+             "vertex 4 is isolated"),
             (lambda: Graph.from_edges([(1, 1)]), PreconditionError,
              "self-loop at vertex 1"),
             (lambda: Graph.from_edges([(-1, 2)]), PreconditionError,
@@ -207,6 +212,24 @@ class TestOneConstructor:
             build()
         assert type(got.value) is error
         assert str(got.value) == message
+
+    def test_a_gap_in_the_ids_is_refused_before_any_adjacency(self, monkeypatch):
+        # no per-vertex list is built for the million ids up to the largest
+        real = graphs._sorted_neighbours
+        calls = []
+        monkeypatch.setattr(
+            graphs, "_sorted_neighbours", lambda *a: calls.append(1) or real(*a)
+        )
+        for build, error in [
+            (lambda: parse_graph("0 1\n1 2\n0 1000000\n"), ParseError),
+            (lambda: Graph.from_edges([(0, 1), (1, 2), (0, 10**6)]), PreconditionError),
+            (lambda: Graph.from_edges([(0, 1), (1, 2), (0, 5)], n=10**6), PreconditionError),
+        ]:
+            with pytest.raises(error) as got:
+                build()
+            assert type(got.value) is error
+            assert str(got.value) == "vertex 3 is isolated"
+        assert calls == []
 
 
 class TestSetQuantities:

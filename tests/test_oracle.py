@@ -9,38 +9,22 @@ from fractions import Fraction
 import pytest
 
 from pottspart.errors import BudgetError, PreconditionError
-from pottspart.graphs import Graph, components, set_conductance, volume
-from pottspart.oracle import (
+from pottspart.graphs import Graph, set_conductance, volume
+from pottspart.oracle import exact_log_z, min_conductance
+from pottspart.spectral import normalized_laplacian_spectrum
+from pottspart.util import log_sum_exp
+
+from conftest import complete, cycle, petersen, triangles_with_bridge, two_triangles
+from reference import (
     exact_log_xi,
-    exact_log_z,
     exact_log_z_psi,
     exact_log_z_star,
     expansion_profile,
     k_way_expansion,
-    min_conductance,
+    monochromatic,
+    random_connected,
     sparse_deviation_log_sum,
 )
-from pottspart.spectral import normalized_laplacian_spectrum
-from pottspart.util import log_sum_exp
-
-from conftest import complete, cycle, path, petersen, triangles_with_bridge, two_triangles
-
-
-def _random_connected(rng: random.Random, n: int) -> Graph:
-    while True:
-        edges = [
-            (u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < 0.5
-        ]
-        try:
-            g = Graph.from_edges(edges, n=n)
-        except PreconditionError:
-            continue
-        if len(components(g)) == 1:
-            return g
-
-
-def _mono(g: Graph, colours) -> int:
-    return sum(1 for a, b in g.edges if colours[a] == colours[b])
 
 
 class TestExactLogZ:
@@ -74,7 +58,7 @@ class TestExactLogZ:
     def test_bounds(self):
         rng = random.Random(3)
         for _ in range(10):
-            g = _random_connected(rng, rng.randrange(3, 7))
+            g = random_connected(rng, rng.randrange(3, 7))
             q = rng.choice([2, 3])
             beta = rng.uniform(0.0, 3.0)
             lz = exact_log_z(g, q, beta)
@@ -140,7 +124,7 @@ class TestExactLogZPsi:
         rng = random.Random(5)
         for _ in range(8):
             n = rng.randrange(3, 7)
-            g = _random_connected(rng, n)
+            g = random_connected(rng, n)
             q = rng.choice([2, 3])
             beta = rng.uniform(0.0, 2.0)
             half = rng.randrange(1, n)
@@ -149,6 +133,14 @@ class TestExactLogZPsi:
             assert exact_log_z_psi(g, parts, psi, q, beta) <= exact_log_z(
                 g, q, beta
             ) + 1e-12
+
+    def test_has_no_ground_state_cap(self):
+        # 2**20 singleton parts are over star's cap; psi sums its one state
+        g, parts = cycle(20), [[v] for v in range(20)]
+        psi = (0,) * 10 + (1,) * 10
+        assert exact_log_z_psi(g, parts, psi, 2, 0.5) == 0.5 * monochromatic(g, psi)
+        with pytest.raises(BudgetError, match="ground states exceed budget"):
+            exact_log_z_star(g, parts, 2, 0.5)
 
 
 class TestExactLogZStar:
@@ -237,7 +229,7 @@ class TestDeviationIdentity:
                 for v in sorted(part):
                     owner[v] = i
             ground = [psi[owner[v]] for v in range(g.n)]
-            lhs = beta * _mono(g, ground) + exact_log_xi(g, parts, psi, q, beta)
+            lhs = beta * monochromatic(g, ground) + exact_log_xi(g, parts, psi, q, beta)
             rhs = sparse_deviation_log_sum(g, parts, psi, q, beta)
             assert math.isclose(lhs, rhs, rel_tol=1e-10), (psi, q, beta)
 
@@ -278,7 +270,7 @@ class TestMinConductance:
     def test_witness_attains_value(self):
         rng = random.Random(9)
         for _ in range(10):
-            g = _random_connected(rng, rng.randrange(3, 8))
+            g = random_connected(rng, rng.randrange(3, 8))
             val, wit = min_conductance(g)
             assert set_conductance(g, wit) == val
             assert 2 * volume(g, wit) <= 2 * g.m
@@ -292,7 +284,7 @@ class TestExpansionProfile:
     def test_matches_min_conductance_at_half_volume(self):
         rng = random.Random(13)
         for _ in range(10):
-            g = _random_connected(rng, rng.randrange(3, 8))
+            g = random_connected(rng, rng.randrange(3, 8))
             val, _ = min_conductance(g)
             assert expansion_profile(g, g.m) == val
 
@@ -333,14 +325,14 @@ class TestKWayExpansion:
     def test_monotone_in_k(self):
         rng = random.Random(17)
         for _ in range(6):
-            g = _random_connected(rng, rng.randrange(4, 8))
+            g = random_connected(rng, rng.randrange(4, 8))
             vals = [k_way_expansion(g, k) for k in range(1, 4)]
             assert vals == sorted(vals)
 
     def test_dominates_half_spectral_value(self):
         rng = random.Random(19)
         for _ in range(6):
-            g = _random_connected(rng, rng.randrange(4, 8))
+            g = random_connected(rng, rng.randrange(4, 8))
             spec = normalized_laplacian_spectrum(g, 3)
             for k in (2, 3):
                 lam = spec.eigenvalue(k)

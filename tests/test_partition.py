@@ -1,6 +1,5 @@
 """Tests for the expander partitioner and its exact certificates."""
 
-import itertools
 import json
 import math
 import random
@@ -18,12 +17,12 @@ from conftest import (
     triangles_with_bridge,
     two_triangles,
 )
+from reference import bridged_cliques, clique_edges, is_connected
 from pottspart.cli import main
 from pottspart.errors import PreconditionError, VerificationError
 from pottspart.generate import clique_chain, random_regular
 from pottspart.graphs import (
     Graph,
-    is_connected,
     mask_of,
     serialize_graph,
     set_conductance,
@@ -38,16 +37,6 @@ from pottspart.partition import (
     verify_partition,
 )
 from pottspart.potts import approx_log_z_sse, required_beta_sse
-
-
-def clique_edges(vs):
-    return [(a, b) for a, b in itertools.combinations(vs, 2)]
-
-
-def bridged_cliques(s: int) -> Graph:
-    a = list(range(s))
-    b = list(range(s, 2 * s))
-    return Graph.from_edges(clique_edges(a) + clique_edges(b) + [(0, s)])
 
 
 class TestPartitionParams:

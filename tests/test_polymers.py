@@ -11,45 +11,38 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from pottspart.errors import BudgetError, PreconditionError
-from pottspart.graphs import Graph, closure_size, components, induced_subgraph
-from pottspart.oracle import exact_log_xi, min_conductance
+from pottspart.graphs import Graph, components, induced_subgraph
+from pottspart.oracle import min_conductance
 from pottspart import polymers
 from pottspart.generate import clique_chain
 from pottspart.polymers import (
     ClusterExpansion,
-    Polymer,
-    boundary_edge_set,
     check_weight_bounds,
-    compatible,
     enumerate_polymers,
-    is_small,
-    is_sparse,
-    kp_condition_holds,
     kp_margin,
     kp_sufficient_beta,
     normalize_parts,
     polymer_log_weights,
-    restricted_log_partition,
     truncated_log_xi,
     truncation_depth,
     _signed_connected_sum,
 )
 from pottspart.util import log_sum_exp
 
-from conftest import complete, cycle, triangles_with_bridge, two_triangles
-
-
-def _random_connected(rng: random.Random, n: int) -> Graph:
-    while True:
-        edges = [
-            (u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < 0.5
-        ]
-        try:
-            g = Graph.from_edges(edges, n=n)
-        except PreconditionError:
-            continue
-        if len(components(g)) == 1:
-            return g
+from conftest import complete, cycle, triangles_with_bridge
+from reference import (
+    closure_size,
+    compatible,
+    compatible_families,
+    exact_log_xi,
+    incompatibility,
+    is_small,
+    is_sparse,
+    kp_condition_holds,
+    monochromatic,
+    random_connected,
+    restricted_log_partition,
+)
 
 
 def _random_partition(rng: random.Random, n: int, ell: int) -> list[list[int]]:
@@ -58,10 +51,6 @@ def _random_partition(rng: random.Random, n: int, ell: int) -> list[list[int]]:
         parts = [[v for v in range(n) if owner[v] == i] for i in range(ell)]
         if all(parts):
             return parts
-
-
-def _mono(g: Graph, colours) -> int:
-    return sum(1 for a, b in g.edges if colours[a] == colours[b])
 
 
 class TestNormalizeParts:
@@ -128,7 +117,7 @@ class TestSmallAndSparse:
         rng = random.Random(7)
         for _ in range(30):
             n = rng.randrange(4, 9)
-            g = _random_connected(rng, n)
+            g = random_connected(rng, n)
             parts = _random_partition(rng, n, rng.randrange(1, 4))
             subset = [v for v in range(n) if rng.random() < 0.4]
             if is_small(subset, parts):
@@ -181,7 +170,7 @@ class TestEnumeratePolymers:
         rng = random.Random(11)
         for _ in range(20):
             n = rng.randrange(4, 9)
-            g = _random_connected(rng, n)
+            g = random_connected(rng, n)
             parts = _random_partition(rng, n, rng.randrange(1, 4))
             max_size = rng.randrange(1, n + 1)
             expected = set()
@@ -235,7 +224,7 @@ class TestCompatibility:
         rng = random.Random(13)
         for _ in range(15):
             n = rng.randrange(4, 8)
-            g = _random_connected(rng, n)
+            g = random_connected(rng, n)
             parts = [_random_partition(rng, n, 1)[0]]
             polys = enumerate_polymers(g, parts, max_size=n)
             for a, b in itertools.combinations(polys, 2):
@@ -286,7 +275,7 @@ class TestRestrictedSum:
         rng = random.Random(17)
         for _ in range(25):
             n = rng.randrange(3, 7)
-            g = _random_connected(rng, n)
+            g = random_connected(rng, n)
             ell = rng.randrange(1, 3)
             parts = _random_partition(rng, n, ell)
             q = rng.choice([2, 3])
@@ -298,7 +287,7 @@ class TestRestrictedSum:
                 for v in part:
                     owner[v] = i
             ground = [psi[owner[v]] for v in range(n)]
-            m_psi = _mono(g, ground)
+            m_psi = monochromatic(g, ground)
             clo = closure_size(g, u) if u else 0
             terms = []
             choices = [[c for c in range(q) if c != ground[v]] for v in u]
@@ -306,7 +295,7 @@ class TestRestrictedSum:
                 flipped = list(ground)
                 for v, c in zip(u, lam):
                     flipped[v] = c
-                terms.append(beta * (_mono(g, flipped) - m_psi + clo))
+                terms.append(beta * (monochromatic(g, flipped) - m_psi + clo))
             expected = log_sum_exp(terms)
             got = restricted_log_partition(g, parts, psi, u, q, beta)
             assert math.isclose(got, expected, rel_tol=1e-10, abs_tol=1e-10)
@@ -384,7 +373,7 @@ class TestWeights:
     def test_colour_permutation_keeps_weights_bitwise(self, n, ell, q, beta, seed):
         # the reuse of log Xi across a colour-permutation orbit rests on this
         rng = random.Random(seed)
-        g = _random_connected(rng, n)
+        g = random_connected(rng, n)
         parts = _random_partition(rng, n, min(ell, n))
         polys = enumerate_polymers(g, parts, max_size=3)
         psi = [rng.randrange(q) for _ in parts]
@@ -622,17 +611,10 @@ def _log_xi_coefficients(g, polymers, log_weights, depth):
     cluster machinery.
     """
     p = [1.0] + [0.0] * depth
-
-    def grow(start, family, size, log_w):
-        for j in range(start, len(polymers)):
-            grown = size + len(polymers[j].vertices)
-            if grown <= depth and all(
-                compatible(g, polymers[j], polymers[i]) for i in family
-            ):
-                p[grown] += math.exp(log_w + log_weights[j])
-                grow(j + 1, family + [j], grown, log_w + log_weights[j])
-
-    grow(0, [], 0, 0.0)
+    for family in compatible_families(incompatibility(g, polymers)):
+        size = sum(len(polymers[j].vertices) for j in family)
+        if family and size <= depth:
+            p[size] += math.exp(sum((log_weights[j] for j in family), 0.0))
     a = [0.0] * (depth + 1)
     for k in range(1, depth + 1):
         a[k] = p[k] - sum(j * a[j] * p[k - j] for j in range(1, k)) / k

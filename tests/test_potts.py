@@ -20,20 +20,25 @@ from conftest import (
     triangles_with_bridge,
     two_triangles,
 )
-from pottspart.errors import BudgetError, PreconditionError
-from pottspart.graphs import (
-    Graph,
-    boundary_size,
-    components,
-    induced_subgraph,
-    set_conductance,
-)
-from pottspart.oracle import (
+from reference import (
+    bridged_cliques,
+    check_bijection,
+    check_deviation_identity,
+    check_factorization,
+    clique_edges,
     exact_log_xi,
-    exact_log_z,
     exact_log_z_psi,
     exact_log_z_star,
+    is_sparse,
+    kp_condition_holds,
+    monochromatic,
+    triangle_plus_k8,
+    triangle_plus_pendant,
+    two_triangles_plus_k6,
 )
+from pottspart.errors import BudgetError, PreconditionError
+from pottspart.graphs import Graph, boundary_size, induced_subgraph, set_conductance
+from pottspart.oracle import exact_log_z
 from pottspart.partition import (
     ExpanderPartition,
     PartCertificate,
@@ -45,24 +50,16 @@ from pottspart.partition import (
 )
 from pottspart.polymers import (
     POLYMER_SIZE_CAP,
-    boundary_edge_set,
-    compatible,
-    enumerate_polymers,
     ground_colouring,
-    is_sparse,
-    kp_condition_holds,
     kp_margin,
     kp_sufficient_beta,
-    restricted_log_partition,
     truncated_log_xi,
     truncation_depth,
 )
 from pottspart import polymers, potts
 from pottspart.generate import clique_chain
 from pottspart.potts import (
-    GROUND_STATE_CAP,
     XI_CAP,
-    PottsResult,
     approx_log_z_expander,
     approx_log_z_good_parts,
     approx_log_z_sse,
@@ -73,21 +70,6 @@ from pottspart.potts import (
     required_beta_sse,
 )
 from pottspart.util import log_sum_exp
-
-
-def _monochromatic(g: Graph, colours) -> int:
-    return sum(1 for u, v in g.edges if colours[u] == colours[v])
-
-
-def clique_edges(vs):
-    return [(a, b) for a, b in itertools.combinations(vs, 2)]
-
-
-def bridged_cliques(s: int) -> Graph:
-    """Two K_s's joined by the single edge (0, s)."""
-    return Graph.from_edges(
-        clique_edges(range(s)) + clique_edges(range(s, 2 * s)) + [(0, s)]
-    )
 
 
 def _random_connected(rng: random.Random, n: int) -> Graph:
@@ -581,7 +563,7 @@ class TestColourPatternReuse:
             direct = truncated_log_xi(g, parts, psi, q, beta, xi / 2, alpha)
             assert entry["logXi"] == direct.log_xi
             ground = ground_colouring(g, parts, psi, q, beta)[1]
-            assert entry["monochromaticEdges"] == _monochromatic(g, ground)
+            assert entry["monochromaticEdges"] == monochromatic(g, ground)
         # the same colour multiset, but a different pattern and value: a
         # cache keyed on the sorted colours would fail the loop above
         by_psi = {tuple(p["psi"]): p["logXi"] for p in res.per_psi}
@@ -631,9 +613,7 @@ class TestWithPartitionPipeline:
     def test_one_bad_part_bound_is_honest(self):
         # triangle (bad) + K_8 (good) joined by one edge; the removed edge
         # contributes beta/2 to the estimate and the error bound
-        g = Graph.from_edges(
-            clique_edges(range(3)) + clique_edges(range(3, 11)) + [(0, 3)]
-        )
+        g = triangle_plus_k8()
         parts = [[0, 1, 2], list(range(3, 11))]
         res = approx_log_z_with_partition(g, parts, 2, 55.0, 0.01, 0.5)
         assert res.mode == "partition"
@@ -653,12 +633,7 @@ class TestWithPartitionPipeline:
         assert res.mode == "partition"
 
     def test_two_bad_parts(self):
-        g = Graph.from_edges(
-            clique_edges(range(3))
-            + clique_edges(range(3, 6))
-            + clique_edges(range(6, 12))
-            + [(0, 6), (3, 7)]
-        )
+        g = two_triangles_plus_k6()
         parts = [[0, 1, 2], [3, 4, 5], list(range(6, 12))]
         res = approx_log_z_with_partition(g, parts, 2, 90.0, 0.01, 0.3)
         assert res.eps_bound == pytest.approx(3 * 0.01 + 90.0)  # X = 2
@@ -676,7 +651,7 @@ class TestWithPartitionPipeline:
         assert diff <= res.eps_bound
 
     def test_singleton_bad_part_contributes_exactly(self):
-        g = Graph.from_edges(clique_edges(range(3)) + [(0, 3)])
+        g = triangle_plus_pendant()
         res = approx_log_z_with_partition(g, [[0, 1, 2], [3]], 2, 50.0, 0.01, 0.4)
         tri = exact_log_z(complete(3), 2, 50.0)
         assert res.log_z == pytest.approx(25.0 + tri + math.log(2), abs=1e-9)
@@ -712,9 +687,7 @@ class TestWithPartitionPipeline:
                 )
 
     def test_below_threshold_names_threshold(self):
-        g = Graph.from_edges(
-            clique_edges(range(3)) + clique_edges(range(3, 11)) + [(0, 3)]
-        )
+        g = triangle_plus_k8()
         with pytest.raises(PreconditionError, match="required threshold"):
             approx_log_z_with_partition(
                 g, [[0, 1, 2], list(range(3, 11))], 2, 40.0, 0.01, 0.5
@@ -840,9 +813,7 @@ class TestSsePipeline:
         # The splitter only severs cuts sparser than phi_in = lambda_k/(140k^2),
         # so at test scale every returned part has >= n/k vertices; inject a
         # valid partition with one small part to drive the fallback branch.
-        g = Graph.from_edges(
-            clique_edges(range(3)) + clique_edges(range(3, 11)) + [(0, 3)]
-        )
+        g = triangle_plus_k8()
         injected = ExpanderPartition(
             parts=((0, 1, 2), tuple(range(3, 11))),
             cores=((0, 1, 2), tuple(range(3, 11))),
@@ -949,26 +920,7 @@ class TestStructuralProperties:
             q = rng.choice([2, 3])
             psi = tuple(rng.randrange(q) for _ in range(ell))
             beta = rng.uniform(0.5, 1.5)
-            for bits in range(1, 1 << n):
-                u = tuple(v for v in range(n) if bits >> v & 1)
-                if not is_sparse(g, u, parts):
-                    continue
-                sub, vs = induced_subgraph(g, u, allow_isolated=True)
-                comps = [
-                    tuple(vs[i] for i in comp) for comp in components(sub)
-                ]
-                if len(comps) < 2:
-                    continue
-                whole = restricted_log_partition(
-                    g, parts, psi, u, q, beta
-                ) - beta * len(boundary_edge_set(g, u))
-                split = sum(
-                    restricted_log_partition(g, parts, psi, c, q, beta)
-                    - beta * len(boundary_edge_set(g, c))
-                    for c in comps
-                )
-                assert math.isclose(whole, split, rel_tol=1e-9, abs_tol=1e-9)
-                checked += 1
+            checked += check_factorization(g, parts, psi, q, beta)
         assert checked > 50
 
     def test_deviation_identity_exhaustive(self):
@@ -978,35 +930,7 @@ class TestStructuralProperties:
             (triangles_with_bridge(), [[0, 1, 2], [3, 4, 5]], 2),
             (prism(), [[0, 1, 2], [3, 4, 5]], 3),
         ]:
-            owner = {}
-            for i, part in enumerate(parts):
-                for v in part:
-                    owner[v] = i
-            for psi in itertools.product(range(q), repeat=len(parts)):
-                ground = [psi[owner[v]] for v in range(g.n)]
-                m_psi = _monochromatic(g, ground)
-                beta = 0.9
-                for bits in range(1, 1 << g.n):
-                    u = tuple(v for v in range(g.n) if bits >> v & 1)
-                    touching = len(boundary_edge_set(g, u)) + sum(
-                        1 for a, b in g.edges if a in u and b in u
-                    )
-                    terms = []
-                    choices = [
-                        [c for c in range(q) if c != ground[v]] for v in u
-                    ]
-                    for lam in itertools.product(*choices):
-                        omega = list(ground)
-                        for v, c in zip(u, lam):
-                            omega[v] = c
-                        terms.append(
-                            beta
-                            * (_monochromatic(g, omega) - m_psi + touching)
-                        )
-                    got = restricted_log_partition(g, parts, psi, u, q, beta)
-                    assert math.isclose(
-                        got, log_sum_exp(terms), rel_tol=1e-10, abs_tol=1e-10
-                    )
+            check_deviation_identity(g, parts, q)
 
     def test_sparse_sets_biject_with_compatible_families(self):
         rng = random.Random(31)
@@ -1014,49 +938,7 @@ class TestStructuralProperties:
             n = rng.randrange(5, 8)
             g = _random_connected(rng, n)
             ell = rng.randrange(1, 3)
-            parts = _random_partition(rng, n, ell)
-            cap = sum(len(p) // 2 for p in parts)
-            polymers = enumerate_polymers(g, parts, max_size=max(cap, 1))
-            by_vertices = {p.vertices: i for i, p in enumerate(polymers)}
-
-            # forward: every sparse set decomposes into a compatible family
-            families_from_sets = set()
-            for bits in range(1 << n):
-                u = tuple(v for v in range(n) if bits >> v & 1)
-                if not is_sparse(g, u, parts):
-                    continue
-                if u:
-                    sub, vs = induced_subgraph(g, u, allow_isolated=True)
-                    fam = frozenset(
-                        by_vertices[tuple(sorted(vs[i] for i in comp))]
-                        for comp in components(sub)
-                    )
-                else:
-                    fam = frozenset()  # the empty set maps to the empty family
-                for a, b in itertools.combinations(fam, 2):
-                    assert compatible(g, polymers[a], polymers[b])
-                assert fam not in families_from_sets  # injective
-                families_from_sets.add(fam)
-
-            # backward: enumerate compatible families directly
-            incompat = [0] * len(polymers)
-            for i, j in itertools.combinations(range(len(polymers)), 2):
-                if not compatible(g, polymers[i], polymers[j]):
-                    incompat[i] |= 1 << j
-                    incompat[j] |= 1 << i
-            all_families = set()
-
-            def rec(start, banned, chosen):
-                all_families.add(frozenset(chosen))
-                for j in range(start, len(polymers)):
-                    if banned >> j & 1:
-                        continue
-                    chosen.append(j)
-                    rec(j + 1, banned | incompat[j], chosen)
-                    chosen.pop()
-
-            rec(0, 0, [])
-            assert families_from_sets == all_families
+            check_bijection(g, _random_partition(rng, n, ell))
 
     def test_sparse_sets_expand_part_by_part(self):
         instances = [
@@ -1110,7 +992,7 @@ class TestStructuralProperties:
             for psi in itertools.product(range(2), repeat=len(parts)):
                 log_close = exact_log_z_psi(g, parts, psi, 2, beta)
                 ground = ground_colouring(g, parts, psi, 2, beta)[1]
-                log_tilde = beta * _monochromatic(g, ground) + exact_log_xi(
+                log_tilde = beta * monochromatic(g, ground) + exact_log_xi(
                     g, parts, psi, 2, beta
                 )
                 assert log_close - 1e-9 <= log_tilde <= log_close + slack + 1e-9

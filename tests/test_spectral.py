@@ -22,22 +22,7 @@ from pottspart.spectral import (
 )
 
 from conftest import complete, complete_bipartite, cycle, path, petersen, two_triangles
-
-
-def _random_connected(rng: random.Random, n: int) -> Graph:
-    while True:
-        edges = [
-            (u, v)
-            for u in range(n)
-            for v in range(u + 1, n)
-            if rng.random() < 0.5
-        ]
-        try:
-            g = Graph.from_edges(edges, n=n)
-        except PreconditionError:
-            continue
-        if len(components(g)) == 1:
-            return g
+from reference import random_connected
 
 
 def _textbook_laplacian(g: Graph) -> np.ndarray:
@@ -80,7 +65,7 @@ class TestSpectrum:
     def test_range_invariants(self):
         rng = random.Random(5)
         for _ in range(25):
-            g = _random_connected(rng, rng.randint(2, 10))
+            g = random_connected(rng, rng.randint(2, 10))
             s = normalized_laplacian_spectrum(g, g.n)
             assert s.eigenvalues[0] <= 1e-10
             assert s.eigenvalues[-1] <= 2 + 1e-10
@@ -100,7 +85,7 @@ class TestSpectrum:
 
     def test_fiedler_sign_convention(self):
         # the first entry of largest magnitude is positive
-        graphs = _fiedler_cases() + [_random_connected(random.Random(9), 8)]
+        graphs = _fiedler_cases() + [random_connected(random.Random(9), 8)]
         for g in graphs:
             f = normalized_laplacian_spectrum(g, g.n).fiedler
             big = np.abs(f).max()
@@ -121,7 +106,7 @@ class TestSpectrum:
         assert np.array_equal(_fix_sign(np.array([1.0, -1.0])), [1.0, -1.0])
 
     def test_eigenvalues_match_the_textbook_laplacian_bit_for_bit(self):
-        graphs = _fiedler_cases() + [_random_connected(random.Random(41), 11)]
+        graphs = _fiedler_cases() + [random_connected(random.Random(41), 11)]
         for g in graphs:
             lam = np.linalg.eigvalsh(_textbook_laplacian(g))
             s = normalized_laplacian_spectrum(g, g.n)
@@ -326,21 +311,21 @@ class TestSweepCut:
     def test_volume_at_most_half(self):
         rng = random.Random(31)
         for _ in range(40):
-            g = _random_connected(rng, rng.randint(2, 11))
+            g = random_connected(rng, rng.randint(2, 11))
             cut = sweep_cut(g)
             assert 2 * volume(g, cut.vertices) <= 2 * g.m
 
     def test_cheeger_upper_bound(self):
         rng = random.Random(33)
         for _ in range(40):
-            g = _random_connected(rng, rng.randint(2, 11))
+            g = random_connected(rng, rng.randint(2, 11))
             cut = sweep_cut(g)
             assert float(cut.conductance) <= math.sqrt(2 * cut.lambda2) + 1e-9
 
     def test_conductance_matches_returned_set(self):
         rng = random.Random(37)
         for _ in range(40):
-            g = _random_connected(rng, rng.randint(2, 11))
+            g = random_connected(rng, rng.randint(2, 11))
             cut = sweep_cut(g)
             vol = volume(g, cut.vertices)
             assert cut.conductance == Fraction(
