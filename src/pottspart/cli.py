@@ -69,7 +69,11 @@ def _build_parser() -> _Parser:
     graph_in = argparse.ArgumentParser(add_help=False)
     graph_in.add_argument(
         "input",
-        help="edge-list file, one 'u v' pair per line ('-' reads stdin)",
+        help=(
+            "edge-list file, one 'u v' pair per line ('-' reads stdin); a "
+            "line whose first non-blank character is '#' is skipped, but a "
+            "'#' after an edge is an error"
+        ),
     )
 
     model = argparse.ArgumentParser(add_help=False)
@@ -123,12 +127,6 @@ def _build_parser() -> _Parser:
     )
     approx.add_argument("--k", type=int, help="spectral order (mode sse)")
     approx.add_argument(
-        "--C",
-        type=float,
-        default=1.0,
-        help="partitioner constant (modes sse/partition; default 1.0)",
-    )
-    approx.add_argument(
         "--alpha",
         type=float,
         help=(
@@ -169,9 +167,6 @@ def _build_parser() -> _Parser:
         help="compute and verify a certified expander partition",
     )
     part.add_argument("--k", type=int, required=True, help="spectral order (>= 2)")
-    part.add_argument(
-        "--C", type=float, default=1.0, help="partitioner constant (default 1.0)"
-    )
 
     sub.add_parser(
         "potts",
@@ -237,9 +232,7 @@ def _run_pipeline(args: argparse.Namespace, g: Graph, budgets: Budgets) -> Potts
     if args.mode == "sse":
         if args.k is None:
             raise PreconditionError("mode sse requires --k")
-        return approx_log_z_sse(
-            g, args.k, args.q, args.beta, args.eps, args.C, budgets=budgets
-        )
+        return approx_log_z_sse(g, args.k, args.q, args.beta, args.eps, budgets=budgets)
     if args.mode == "expander":
         if args.alpha is None:
             raise PreconditionError("mode expander requires --alpha")
@@ -283,7 +276,7 @@ def _cmd_generate(args: argparse.Namespace) -> int:
 
 def _cmd_partition(args: argparse.Namespace) -> int:
     g = _load_graph(args.input)
-    params = PartitionParams.from_graph(g, args.k, args.C)
+    params = PartitionParams.from_graph(g, args.k)
     partition = partition_into_expanders(g, params)
     report = verify_partition(g, partition.parts, params)
     payload = {

@@ -30,7 +30,8 @@ VertexSet = Iterable[int]
 
 # Largest n for which a scan over all 2^n vertex subsets is attempted.
 SUBSET_ENUM_MAX_N = 20
-# subset_scan's low block holds the subsets of this many first vertices
+# subset_scan's low block holds the subsets of this many first vertices;
+# the exact oracle's tables are capped at 2 ** this many entries too
 _SUBSET_BLOCK_BITS = 15
 
 
@@ -76,12 +77,6 @@ class Graph:
     @property
     def max_degree(self) -> int:
         return max(self.degrees)
-
-    def degree(self, v: int) -> int:
-        return self.degrees[v]
-
-    def has_edge(self, u: int, v: int) -> bool:
-        return bool(self.adj_masks[u] >> v & 1)
 
     @cached_property
     def _elimination_steps(self) -> tuple[tuple[int, tuple[int, ...]], ...]:

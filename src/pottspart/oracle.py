@@ -31,6 +31,7 @@ from .budgets import STATE_BUDGET
 from .errors import BudgetError, PreconditionError
 from .graphs import (
     SUBSET_ENUM_MAX_N,
+    _SUBSET_BLOCK_BITS,
     Graph,
     components,
     elimination_order,
@@ -43,7 +44,7 @@ from .util import log_count_sum
 
 __all__ = ["STATE_BUDGET", "exact_log_z", "min_conductance"]
 
-_BLOCK = 1 << 15
+_BLOCK = 1 << _SUBSET_BLOCK_BITS
 
 
 def _mono_blocks(

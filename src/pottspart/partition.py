@@ -56,7 +56,6 @@ class PartitionParams:
     """
 
     k: int
-    C: float
     lambdas: tuple[float, ...]  # the k lowest normalized-Laplacian eigenvalues
     rho_star: float
     phi_in: float
@@ -65,13 +64,11 @@ class PartitionParams:
     spectrum: Spectrum = field(compare=False, repr=False)
 
     @staticmethod
-    def from_graph(g: Graph, k: int, C: float = 1.0) -> "PartitionParams":
+    def from_graph(g: Graph, k: int) -> "PartitionParams":
         if not isinstance(k, int) or k < 2:
             raise PreconditionError(f"k must be an integer >= 2, got {k!r}")
         if k > g.n:
             raise PreconditionError(f"k={k} exceeds the vertex count {g.n}")
-        if not (math.isfinite(C) and C > 0):
-            raise PreconditionError(f"C must be a positive real, got {C}")
         spectrum = normalized_laplacian_spectrum(g, k)
         lambdas = tuple(
             0.0 if lam <= _EIGENVALUE_ZERO_SNAP else lam
@@ -79,13 +76,14 @@ class PartitionParams:
         )
         lam_k = lambdas[k - 1]
         lam_km1 = lambdas[k - 2]
-        rho_star = min(lam_k / 10.0, 30.0 * C * k**5 * math.sqrt(lam_km1))
+        # the paper fixes rho_star and phi_out up to an absolute constant C,
+        # taken as 1 here
+        rho_star = min(lam_k / 10.0, 30.0 * k**5 * math.sqrt(lam_km1))
         phi_in = lam_k / (140.0 * k * k)
-        phi_out = 90.0 * C * k**6 * math.sqrt(lam_km1)
+        phi_out = 90.0 * k**6 * math.sqrt(lam_km1)
         tau = Fraction(1, 5 * (k - 1))
         return PartitionParams(
             k=k,
-            C=C,
             lambdas=lambdas,
             rho_star=rho_star,
             phi_in=phi_in,
@@ -98,10 +96,17 @@ class PartitionParams:
     def lambda_k(self) -> float:
         return self.lambdas[self.k - 1]
 
+    def check_lambda_k(self) -> None:
+        """Refuse a graph whose k-th eigenvalue is not positive."""
+        if self.lambda_k <= 0:
+            raise PreconditionError(
+                f"the {self.k}-th eigenvalue must be positive, got "
+                f"{self.lambda_k}; the graph has too many near-components"
+            )
+
     def to_dict(self) -> dict:
         return {
             "k": self.k,
-            "C": self.C,
             "lambda": list(self.lambdas),
             "constants": {
                 "rhoStar": self.rho_star,
@@ -260,11 +265,7 @@ def partition_into_expanders(
     instead of the single all-vertex part. The state is validated and
     repaired before the loop runs, and every invariant is enforced on it.
     """
-    if params.lambda_k <= 0:
-        raise PreconditionError(
-            f"the {params.k}-th eigenvalue must be positive, got "
-            f"{params.lambda_k}; the graph has too many near-components"
-        )
+    params.check_lambda_k()
     k = params.k
     n, m = g.n, g.m
     budget = 10 * k * n * m
@@ -610,28 +611,25 @@ def verify_partition(
         phi_outer_ok = phi_outer <= params.phi_out
         ratio = _min_degree_ratio(g, vs)
         ratio_ok = ratio >= params.tau
-        sub, _ = induced_subgraph(g, vs, allow_isolated=True)
         inner_lb: Fraction | None = None
         brute: Fraction | None = None
-        if sub.n == 1:
+        if len(vs) == 1:
             inner_ok = True  # vacuous: no cut exists inside a single vertex
-        elif sub.m == 0:
-            brute = Fraction(0)
-            inner_ok = inner_threshold <= 0.0
+        elif (
+            len(vs) > SUBSET_ENUM_MAX_N
+            and (sw := _sweep_in_part(g, set(vs), params.spectrum)) is not None
+        ):
+            inner_lb = _inner_lower_bound(sw[1])
+            inner_ok = inner_lb >= inner_threshold
         else:
-            if sub.n <= SUBSET_ENUM_MAX_N:
-                brute = (
-                    min_conductance(sub)[0]
-                    if all(d > 0 for d in sub.degrees)
-                    else Fraction(0)
-                )
-                inner_ok = brute >= inner_threshold
-            else:
-                # a part that is all of V induces g relabelled by the
-                # identity, whose spectrum params already holds
-                sc = sweep_cut(sub, params.spectrum if sub.n == g.n else None)
-                inner_lb = _inner_lower_bound(sc.conductance)
-                inner_ok = inner_lb >= inner_threshold
+            # exact for small parts; an edgeless large part has conductance 0
+            sub, _ = induced_subgraph(g, vs, allow_isolated=True)
+            brute = (
+                min_conductance(sub)[0]
+                if all(d > 0 for d in sub.degrees)
+                else Fraction(0)
+            )
+            inner_ok = brute >= inner_threshold
         reports.append(
             PartReport(
                 vertices=vs,

@@ -15,7 +15,6 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Iterable, Sequence
 
 from .budgets import CLUSTER_BUDGET, POLYMER_COUNT_BUDGET
@@ -29,6 +28,7 @@ __all__ = [
     "ClusterExpansion",
     "TruncatedXi",
     "check_q_beta",
+    "check_alpha",
     "normalize_parts",
     "ground_colouring",
     "enumerate_polymers",
@@ -71,6 +71,12 @@ def check_q_beta(q: int, beta: float, *, zero_beta_ok: bool = False) -> None:
     if not (math.isfinite(beta) and (beta >= 0 if zero_beta_ok else beta > 0)):
         sign = "nonnegative" if zero_beta_ok else "positive"
         raise PreconditionError(f"beta must be finite and {sign}, got {beta}")
+
+
+def check_alpha(alpha: float) -> None:
+    """Refuse an expansion constant alpha that is not positive (or is NaN)."""
+    if not alpha > 0:  # nan fails this test too
+        raise PreconditionError(f"alpha must be positive, got {alpha}")
 
 
 def normalize_parts(
@@ -350,8 +356,7 @@ def kp_margin(q: int, max_degree: int, beta: float, alpha: float) -> float:
     check_q_beta(q, beta, zero_beta_ok=True)
     if max_degree < 1:
         raise PreconditionError(f"max degree must be positive, got {max_degree}")
-    if not alpha > 0:  # nan fails this test too
-        raise PreconditionError(f"alpha must be positive, got {alpha}")
+    check_alpha(alpha)
     a = 3.0 - beta * alpha + math.log(q - 1) + math.log(max_degree)
     margin = a + math.log(max_degree + 2)
     if math.isnan(margin):  # beta = 0 with alpha = inf
@@ -363,8 +368,7 @@ def kp_margin(q: int, max_degree: int, beta: float, alpha: float) -> float:
 
 def kp_sufficient_beta(q: int, max_degree: int, alpha: float) -> float:
     """A beta at or above this value always satisfies the condition."""
-    if not alpha > 0:  # nan fails this test too
-        raise PreconditionError(f"alpha must be positive, got {alpha}")
+    check_alpha(alpha)
     return (4.0 + 2.0 * math.log(q * max_degree)) / alpha
 
 
@@ -381,10 +385,6 @@ class Cluster:
     multiplicities: tuple[int, ...]
     ursell_num: int
     ursell_den: int
-
-    @property
-    def ursell(self) -> Fraction:
-        return Fraction(self.ursell_num, self.ursell_den)
 
 
 def _signed_connected_sum(mults: tuple[int, ...], pair_adj: int) -> int:

@@ -41,6 +41,7 @@ from .partition import (
 from .polymers import (
     ClusterExpansion,
     boundary_edge_set,
+    check_alpha,
     check_q_beta,
     enumerate_polymers,
     kp_sufficient_beta,
@@ -133,6 +134,21 @@ def _coerce_partition(
     return parts, alphas
 
 
+def _check_eta(eta: float) -> None:
+    """Refuse a good-part share eta outside (0, 1] (or NaN)."""
+    if not 0 < eta <= 1:
+        raise PreconditionError(f"eta must be in (0, 1], got {eta}")
+
+
+def _check_beta(beta: float, need: float, hypotheses: str) -> None:
+    """Refuse beta below ``need``, the threshold under ``hypotheses``."""
+    if beta < need:
+        raise PreconditionError(
+            f"beta={beta:.6g} is below the required threshold {need:.6g} "
+            f"for {hypotheses}"
+        )
+
+
 def required_beta_expander(q: int, max_degree: int, alpha: float) -> float:
     """Smallest inverse temperature the expander pipeline accepts."""
     return kp_sufficient_beta(q, max_degree, alpha)
@@ -146,10 +162,8 @@ def required_beta_good_parts(
     Two threshold forms circulate for this composition; we enforce the
     pointwise maximum of both, so the accepted regime satisfies each.
     """
-    if not alpha > 0:  # nan fails this test too
-        raise PreconditionError(f"alpha must be positive, got {alpha}")
-    if not 0 < eta <= 1:
-        raise PreconditionError(f"eta must be in (0, 1], got {eta}")
+    check_alpha(alpha)
+    _check_eta(eta)
     lg = math.log(q * max_degree)
     return max(4.0 + 2.0 * lg, 2.0 + 4.0 * lg) / (alpha * eta)
 
@@ -159,29 +173,17 @@ def required_beta_sse(
 ) -> float:
     """Smallest inverse temperature the spectral pipeline accepts.
 
-    The headline threshold C*k^6*(4+2log(q*Delta))/(lambda_k^2*delta) is not
-    by itself sufficient for the inner composition with the implementation's
-    explicit constants, so the guaranteed-sufficient inner threshold (with
-    the partition's worst-case certificates) is enforced as well.
+    This is the good-parts threshold at eta = 1/k for the worst certificate
+    the partitioner guarantees: inner conductance at least phi_in^2/4 and a
+    share tau of every degree inside the part.  It is 392000*(k-1)/k times
+    the headline form k^6*(4+2log(q*Delta))/(lambda_k^2*delta) or more, so
+    that form is implied and not computed.
     """
-    k = params.k
-    lam = params.lambda_k
-    if lam <= 0:
-        raise PreconditionError(
-            f"the {k}-th eigenvalue must be positive, got {lam}; "
-            "the graph has too many near-components"
-        )
-    headline = (
-        params.C
-        * k**6
-        * (4.0 + 2.0 * math.log(q * max_degree))
-        / (lam * lam * min_degree)
-    )
+    params.check_lambda_k()
     alpha_guaranteed = (
         _inner_lower_bound(params.phi_in) * float(params.tau) * min_degree
     )
-    inner = required_beta_good_parts(q, max_degree, alpha_guaranteed, 1.0 / k)
-    return max(headline, inner)
+    return required_beta_good_parts(q, max_degree, alpha_guaranteed, 1.0 / params.k)
 
 
 # ---------------------------------------------------------------------------
@@ -355,12 +357,11 @@ def approx_log_z_expander(
         raise PreconditionError(
             f"an edgeless graph on {g.n} vertices is not an expander"
         )
-    need = required_beta_expander(q, g.max_degree, alpha)
-    if beta < need:
-        raise PreconditionError(
-            f"beta={beta:.6g} is below the required threshold {need:.6g} "
-            f"for q={q}, max degree {g.max_degree}, alpha={alpha:.6g}"
-        )
+    _check_beta(
+        beta,
+        required_beta_expander(q, g.max_degree, alpha),
+        f"q={q}, max degree {g.max_degree}, alpha={alpha:.6g}",
+    )
     if g.n <= SUBSET_ENUM_MAX_N:
         ok, witness = is_alpha_expander(g, alpha)
         if not ok:
@@ -414,8 +415,7 @@ def approx_log_z_with_partition(
     (s+1)*xi + beta*X/2, where s is the number of bad parts.
     """
     xi = _check_q_beta_xi(q, beta, xi)
-    if not (0 < eta <= 1):
-        raise PreconditionError(f"eta must be in (0, 1], got {eta}")
+    _check_eta(eta)
     parts, alphas = _coerce_partition(g, partition)
     # exact comparison: lift the float eta so classification is reproducible
     eta_exact = Fraction(eta)
@@ -448,13 +448,11 @@ def _cut_and_sum(
             "sweep conductance 0); the polymer weights are unbounded"
         )
     if math.isfinite(alpha):
-        need = required_beta_good_parts(q, g.max_degree, alpha, eta)
-        if beta < need:
-            raise PreconditionError(
-                f"beta={beta:.6g} is below the required threshold {need:.6g} "
-                f"for q={q}, max degree {g.max_degree}, alpha={alpha:.6g}, "
-                f"eta={eta:.6g}"
-            )
+        _check_beta(
+            beta,
+            required_beta_good_parts(q, g.max_degree, alpha, eta),
+            f"q={q}, max degree {g.max_degree}, alpha={alpha:.6g}, eta={eta:.6g}",
+        )
     if not bad:
         return _approx_core(g, parts, q, beta, xi, alpha, mode, budgets)
 
@@ -510,7 +508,6 @@ def approx_log_z_sse(
     q: int,
     beta: float,
     eps: float,
-    C: float = 1.0,
     *,
     budgets: Budgets = Budgets(),
 ) -> PottsResult:
@@ -525,15 +522,14 @@ def approx_log_z_sse(
     returned.
     """
     eps = _check_q_beta_xi(q, beta, eps)
-    params = PartitionParams.from_graph(g, k, C)
+    params = PartitionParams.from_graph(g, k)
     delta = min(g.degrees)
-    need = required_beta_sse(params, q, g.max_degree, delta)
-    if beta < need:
-        raise PreconditionError(
-            f"beta={beta:.6g} is below the required threshold {need:.6g} "
-            f"for k={k}, q={q}, max degree {g.max_degree}, "
-            f"lambda_k={params.lambda_k:.6g}, min degree {delta}"
-        )
+    _check_beta(
+        beta,
+        required_beta_sse(params, q, g.max_degree, delta),
+        f"k={k}, q={q}, max degree {g.max_degree}, "
+        f"lambda_k={params.lambda_k:.6g}, min degree {delta}",
+    )
     parts, alphas = _coerce_partition(g, partition_into_expanders(g, params))
     bad = [i for i, p in enumerate(parts) if len(p) * k < g.n]
     eta = 1.0 / k if bad else min(len(p) for p in parts) / g.n

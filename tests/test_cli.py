@@ -295,6 +295,20 @@ class TestUsageErrors:
             main(["potts", *GOOD_PARTS_ARGS, "--threads", "2", bridged_triangles_file])
         assert exc.value.code == 1
 
+    @pytest.mark.parametrize(
+        "command",
+        [
+            ["partition", "--k", "2"],
+            ["potts", "--q", "2", "--beta", "40", "--eps", "0.1", "--k", "2"],
+        ],
+        ids=["partition", "potts"],
+    )
+    def test_partitioner_constant_flag_exits_1(self, command, bridged_triangles_file):
+        # the partitioner's constants are fixed; there is no --C to set
+        with pytest.raises(SystemExit) as exc:
+            main([*command, "--C", "1", bridged_triangles_file])
+        assert exc.value.code == 1
+
 
 class TestEndToEnd:
     def _run(self, argv, stdin_text=None):

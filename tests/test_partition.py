@@ -67,17 +67,6 @@ class TestPartitionParams:
             PartitionParams.from_graph(g, 1)
         with pytest.raises(PreconditionError):
             PartitionParams.from_graph(g, 6)
-        with pytest.raises(PreconditionError):
-            PartitionParams.from_graph(g, 2, C=0.0)
-        with pytest.raises(PreconditionError):
-            PartitionParams.from_graph(g, 2, C=float("nan"))
-
-    def test_c_scales_derived_constants(self):
-        g = bridged_cliques(5)
-        p1 = PartitionParams.from_graph(g, 3, C=1.0)
-        p2 = PartitionParams.from_graph(g, 3, C=2.0)
-        assert p2.phi_out == pytest.approx(2 * p1.phi_out, rel=1e-12)
-        assert p2.phi_in == p1.phi_in  # independent of C
 
     def test_to_dict(self):
         d = PartitionParams.from_graph(complete(4), 2).to_dict()
@@ -718,6 +707,33 @@ class TestVerifyPartition:
         report = verify_partition(g, parts, p)
         assert induced == [tuple(part) for part in parts]
         assert [r.inner_lower_bound for r in report.parts] == expected
+
+    def test_one_part_sweeps_g_with_the_params_spectrum(self, monkeypatch):
+        # all of V above the brute-force cutoff: the sweep runs on g itself,
+        # with the spectrum the params already hold, and nothing is induced
+        g = random_regular(200, 3, 0)
+        p = PartitionParams.from_graph(g, 3)
+        expected = partition_module._sweep_in_part(g, set(range(g.n)))[1] ** 2 / 4
+        induced, swept = [], []
+        real_induced = partition_module.induced_subgraph
+        real_sweep = partition_module.sweep_cut
+
+        def counting_induced(g, s, allow_isolated=False):
+            induced.append(tuple(s))
+            return real_induced(g, s, allow_isolated=allow_isolated)
+
+        def recording_sweep(graph, spectrum=None):
+            swept.append((graph, spectrum))
+            return real_sweep(graph, spectrum)
+
+        monkeypatch.setattr(partition_module, "induced_subgraph", counting_induced)
+        monkeypatch.setattr(partition_module, "sweep_cut", recording_sweep)
+        report = verify_partition(g, [range(g.n)], p)
+        assert induced == []
+        assert len(swept) == 1
+        assert swept[0][0] is g and swept[0][1] is p.spectrum
+        assert report.parts[0].brute_inner is None
+        assert report.parts[0].inner_lower_bound == expected
 
     def test_whole_graph_fails_inner_check_for_k3_dumbbell(self):
         # the dumbbell is not an inner expander at the k = 3 threshold:

@@ -291,22 +291,102 @@ class TestThresholds:
         with pytest.raises(PreconditionError, match=message):
             truncation_depth(10, 0.1, 2, 3, 0.0, math.inf)
 
-    def test_sse_threshold_is_max_of_both_forms(self):
-        g = complete(8)
-        params = PartitionParams.from_graph(g, 2)
-        lam = params.lambda_k
-        headline = params.C * 2**6 * (4 + 2 * math.log(14)) / (lam * lam * 7)
-        alpha_t = (params.phi_in**2 / 4) * float(params.tau) * 7
-        inner = required_beta_good_parts(2, 7, alpha_t, 0.5)
-        need = required_beta_sse(params, 2, 7, 7)
-        assert need == pytest.approx(max(headline, inner))
-        assert need == inner  # the inner composition dominates at C=1
+    @pytest.mark.parametrize(
+        "g, k",
+        [
+            (complete(8), 2),
+            (cycle(30), 4),
+            (petersen(), 3),
+            (clique_chain(3, 5, 1), 3),
+            (clique_chain(3, 50, 1), 4),
+        ],
+        ids=["complete8", "cycle30", "petersen", "chain3x5", "chain3x50"],
+    )
+    @pytest.mark.parametrize("q", [2, 3, 10])
+    def test_sse_threshold_is_the_inner_composition(self, g, k, q):
+        # the good-parts threshold for the guaranteed certificates, which is
+        # at least 392000*(k-1)/k >= 196000 times the headline form
+        params = PartitionParams.from_graph(g, k)
+        delta, lam = min(g.degrees), params.lambda_k
+        alpha_t = _inner_lower_bound(params.phi_in) * float(params.tau) * delta
+        inner = required_beta_good_parts(q, g.max_degree, alpha_t, 1.0 / k)
+        assert required_beta_sse(params, q, g.max_degree, delta) == inner
+        headline = k**6 * (4 + 2 * math.log(q * g.max_degree)) / (lam * lam * delta)
+        assert inner >= 196_000 * headline
 
-    def test_sse_headline_scales_with_c(self):
-        g = complete(8)
-        small = required_beta_sse(PartitionParams.from_graph(g, 2), 2, 7, 7)
-        big = required_beta_sse(PartitionParams.from_graph(g, 2, 1e7), 2, 7, 7)
-        assert big > small  # with a huge C the headline form takes over
+    @pytest.mark.parametrize(
+        "refuse, text",
+        [
+            pytest.param(
+                lambda: required_beta_good_parts(2, 3, 0.0, 0.5),
+                "alpha must be positive, got 0.0",
+                id="alpha-good-parts",
+            ),
+            pytest.param(
+                lambda: kp_margin(2, 3, 1.0, -1.0),
+                "alpha must be positive, got -1.0",
+                id="alpha-kp-margin",
+            ),
+            pytest.param(
+                lambda: kp_sufficient_beta(2, 3, math.nan),
+                "alpha must be positive, got nan",
+                id="alpha-kp-sufficient-beta",
+            ),
+            pytest.param(
+                lambda: required_beta_good_parts(2, 3, 1.0, 0.0),
+                "eta must be in (0, 1], got 0.0",
+                id="eta-good-parts",
+            ),
+            pytest.param(
+                lambda: approx_log_z_with_partition(
+                    clique_chain(2, 5, 1), [range(5), range(5, 10)], 2, 1.0, 0.1, 1.5
+                ),
+                "eta must be in (0, 1], got 1.5",
+                id="eta-with-partition",
+            ),
+            pytest.param(
+                lambda: required_beta_sse(
+                    PartitionParams.from_graph(two_triangles(), 2), 2, 2, 2
+                ),
+                "the 2-th eigenvalue must be positive, got 0.0; "
+                "the graph has too many near-components",
+                id="lambda-k-sse",
+            ),
+            pytest.param(
+                lambda: partition_into_expanders(
+                    two_triangles(), PartitionParams.from_graph(two_triangles(), 2)
+                ),
+                "the 2-th eigenvalue must be positive, got 0.0; "
+                "the graph has too many near-components",
+                id="lambda-k-partitioner",
+            ),
+            pytest.param(
+                lambda: approx_log_z_expander(complete(4), 2, 1.0, 0.1, 1.0),
+                "beta=1 is below the required threshold 7.58352 for q=2, "
+                "max degree 3, alpha=1",
+                id="beta-expander",
+            ),
+            pytest.param(
+                lambda: approx_log_z_good_parts(
+                    clique_chain(2, 5, 1), [range(5), range(5, 10)], 3, 2.0, 0.1
+                ),
+                "beta=2 is below the required threshold 45.6256 for q=3, "
+                "max degree 5, alpha=0.5625, eta=0.5",
+                id="beta-cut-and-sum",
+            ),
+            pytest.param(
+                lambda: approx_log_z_sse(complete(8), 2, 2, 1.0, 0.1),
+                "beta=1 is below the required threshold 1.72271e+07 for k=2, "
+                "q=2, max degree 7, lambda_k=1.14286, min degree 7",
+                id="beta-sse",
+            ),
+        ],
+    )
+    def test_shared_refusal_texts(self, refuse, text):
+        # each hypothesis is checked in one place; its words stay as they were
+        with pytest.raises(PreconditionError) as refused:
+            refuse()
+        assert str(refused.value) == text
 
     def test_sse_requires_positive_eigenvalue(self):
         g = two_triangles()  # disconnected: lambda_2 = 0
