@@ -100,7 +100,7 @@ class PartitionParams:
         """Refuse a graph whose k-th eigenvalue is not positive."""
         if self.lambda_k <= 0:
             raise PreconditionError(
-                f"the {self.k}-th eigenvalue must be positive, got "
+                f"lambda_{self.k} must be positive, got "
                 f"{self.lambda_k}; the graph has too many near-components"
             )
 

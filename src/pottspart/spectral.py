@@ -12,9 +12,11 @@ Two routes, chosen from n and from convergence:
   lambda_1 = 0 and is deflated exactly: it is the first basis vector.  The
   block size is k - 1, so lambda_2..lambda_k are resolved whatever their
   multiplicities; the start block is the Weyl sequence the dense route
-  starts from; each new block is orthogonalized against the whole basis
-  twice; and Rayleigh-Ritz checks on a geometric schedule stop the
-  iteration once the k - 1 lowest Ritz pairs have residual at most
+  starts from.  Each new block is orthogonalized against the two blocks
+  before it, and against the whole basis, once, only where that is needed
+  (partial reorthogonalization; _FULL_PASS_EVERY says where).
+  Rayleigh-Ritz checks, placed by the residual's trend, stop the iteration
+  once the k - 1 lowest Ritz pairs have residual at most
   _LANCZOS_RESIDUAL.  The basis is given up, for the dense route, at a
   Krylov dimension of _LANCZOS_CAP * n, or earlier once the residual's
   trend predicts that cap.
@@ -27,7 +29,8 @@ TOL_ZERO of zero and the largest at most 2 + TOL_ZERO; the vector has one
 entry per vertex; and its residual ||L f - lambda_2 f||_inf, computed from
 the edge list, is at most TOL_ORTHO.  On the Lanczos route, in addition,
 ||L D^{1/2} 1||_inf is at most TOL_ZERO and every returned Ritz pair has
-residual ||L y - theta y||_2 at most TOL_ORTHO, both from the edge list.
+residual ||L y - theta y||_2 at most TOL_ORTHO, both from the edge list,
+and the Ritz vectors' Gram matrix is within _RITZ_GRAM of the identity.
 That route does not prove that no eigenvalue was missed: a Ritz value is
 never below the eigenvalue of its rank, so a missed one can only make
 lambda_k come out too large.  The vector is a unit vector orthogonal to
@@ -56,19 +59,32 @@ _SHIFT = 1e-12
 _GOLDEN = 0.6180339887498949
 # block Lanczos above this many vertices: random 3-regular graphs of
 # 1200-2400 vertices needed a Krylov dimension of 300-450 for k = 3, more
-# than the cap leaves at n = 1000, where the dense route takes 0.065 s
+# than the cap leaves at n = 1000, where the dense route takes 0.08 s
 _LANCZOS_MIN_N = 1000
 # largest Krylov dimension, as a fraction of n: there, on a random
 # 3-regular graph, the basis costs about half a dense spectrum
 _LANCZOS_CAP = 0.25
 # Ritz pairs are converged at this residual norm
 _LANCZOS_RESIDUAL = 1e-9
-# Rayleigh-Ritz checks at this dimension, then at each 1.2-fold one
+# the first Rayleigh-Ritz check is at this dimension; each next one where
+# the straight line through log(residual) at the last two checks reaches
+# the target, but at least one block on and at most 1.2-fold
 _FIRST_CHECK = 32
 _CHECK_GROWTH = 1.2
 # from this fraction of the cap on, give up once the straight line through
 # log(residual) at the last two checks reaches the target past the cap
 _EXTRAPOLATE_FROM = 0.6
+# each block step orthogonalizes against its own block and the one before;
+# a full Gram-Schmidt pass against the whole basis follows on the first two
+# steps of every _FULL_PASS_EVERY, on each step that ends in a check and
+# before an ill-conditioned block, and on every step once a pass finds a
+# component above _ORTHO_LOSS times its row's norm: orthogonality to
+# sqrt(eps) keeps Ritz values accurate to working precision (Simon 1984;
+# Grimes, Lewis and Simon 1994)
+_FULL_PASS_EVERY = 8
+_ORTHO_LOSS = math.sqrt(np.finfo(np.float64).eps)
+# the returned Ritz vectors' Gram matrix is within this of the identity
+_RITZ_GRAM = 1e-10
 # a new block with a singular value below this is orthonormalized row by
 # row; a direction whose norm falls below _RANK_TOL is dropped
 _WELL_CONDITIONED = 1e-4
@@ -202,23 +218,41 @@ def _orthogonalize(w: np.ndarray, q: np.ndarray) -> np.ndarray:
     return w
 
 
+def _full_pass(q: np.ndarray, w: np.ndarray, h_rows: np.ndarray) -> bool:
+    """One classical Gram-Schmidt pass of w's rows, in place, against q's.
+
+    q's rows are orthonormal.  The pass's coefficients are added to h_rows.
+    Returns whether some row of w had a component along some row of q
+    above _ORTHO_LOSS times its norm: the basis has lost orthogonality.
+    """
+    c = w @ q.T
+    lost = bool(np.any(np.abs(c) > _ORTHO_LOSS * np.linalg.norm(w, axis=1)[:, None]))
+    w -= c @ q
+    h_rows += c
+    return lost
+
+
 def _append_rows(
-    basis: np.ndarray, d: int, w: np.ndarray, fresh: int
-) -> tuple[int, int]:
+    basis: np.ndarray, d: int, w: np.ndarray, fresh: int, orthogonal: bool = True
+) -> tuple[int, int] | None:
     """Append an orthonormal basis of w's row space to basis[:d].
 
-    w must be orthogonal to basis[:d]; returns the new row count and the
-    number of start vectors used.  When w is well conditioned its right
-    singular vectors are appended.  Otherwise each singular direction is
-    orthogonalized again on its own, and one that vanishes (the Krylov
-    space is invariant in it) is replaced by the next start vector, number
-    fresh.  Once a start vector vanishes too, basis[:d] spans the whole
-    space and fewer rows are appended.
+    Returns the new row count and the number of start vectors used.  When
+    w is well conditioned its right singular vectors are appended.
+    Otherwise w must be orthogonal to basis[:d]: when the caller does not
+    know it to be (orthogonal false), None is returned and nothing is
+    appended.  Each singular direction is then orthogonalized again on its
+    own, and one that vanishes (the Krylov space is invariant in it) is
+    replaced by the next start vector, number fresh.  Once a start vector
+    vanishes too, basis[:d] spans the whole space and fewer rows are
+    appended.
     """
     _, sv, vt = np.linalg.svd(w, full_matrices=False)
     if sv[-1] > _WELL_CONDITIONED:
         basis[d : d + len(vt)] = vt
         return d + len(vt), fresh
+    if not orthogonal:
+        return None
     missing = 0
     for row in sv[:, None] * vt:
         row = _orthogonalize(row[None, :], basis[:d])[0]
@@ -268,44 +302,55 @@ def _block_lanczos(lap: _EdgeListLaplacian, trivial: np.ndarray, k: int):
             f"||L D^(1/2) 1||_inf = {kernel} exceeds {TOL_ZERO}"
         )
     # basis[:d] holds orthonormal rows: D^(1/2) 1, then the blocks, the
-    # newest at d0..d-1; h[i, j] for j <= i is basis[i] . L basis[j]
+    # newest at d0..d-1 and the one before at p0..d0-1; h[i, j] for j <= i
+    # is basis[i] . L basis[j]
     basis = np.empty((cap + b + 1, n))
     h = np.zeros((cap + b + 1, cap + b + 1))
     basis[0] = trivial
     start = _orthogonalize(_weyl(0, b, n), basis[:1])
     d, fresh = _append_rows(basis, 1, start, b)
-    d0 = 1
+    p0, d0 = 0, 1
     check = max(_FIRST_CHECK, 2 * b)
     last = None  # (dimension, residual) at the previous check
+    lost = False  # a full pass has found orthogonality lost: one every step
+    step = 0
     while True:
-        q = basis[:d]
         lq = lap(basis[d0:d])
-        # the first pass's coefficients are the new rows of h; the second
-        # pass corrects them and what the first left of w
-        c = lq @ q.T
-        w = lq - c @ q
-        c2 = w @ q.T
-        w -= c2 @ q
-        h[d0:d, :d] = c + c2
+        # the local recurrence: in exact arithmetic L basis[d0:d] is
+        # orthogonal to every block but this one and the one before
+        near = basis[p0:d]
+        c = lq @ near.T
+        w = lq - c @ near
+        h[d0:d, p0:d] = c
         dim = d - 1
-        if dim >= check or dim == n - 1 or dim >= cap:
+        checking = dim >= check or dim == n - 1 or dim >= cap
+        # a pass on one step alone is undone on the next, whose recurrence
+        # reads the block before, so passes come in pairs (Simon 1984)
+        full = lost or checking or step % _FULL_PASS_EVERY < 2
+        if full:
+            lost |= _full_pass(basis[:d], w, h[d0:d, :d])
+        if checking:
             theta, s = np.linalg.eigh(h[1:d, 1:d], UPLO="L")
             # L basis = basis h + (w on the newest block's rows), so the
             # residual of y = basis[1:d] s is w's share of it
             resid = float(np.max(np.linalg.norm(s[d0 - 1 :, :b].T @ w, axis=1)))
             if dim == n - 1 or resid <= _LANCZOS_RESIDUAL:
                 break
+            target = _extrapolated_dimension(last, dim, resid)
             # a cap at the whole space is never reached short of convergence
             if dim >= cap or (
-                dim >= _EXTRAPOLATE_FROM * cap
-                and cap < n - 1
-                and _extrapolated_dimension(last, dim, resid) > cap
+                dim >= _EXTRAPOLATE_FROM * cap and cap < n - 1 and target > cap
             ):
                 return None
             last = (dim, resid)
-            check = math.ceil(dim * _CHECK_GROWTH)
-        d0 = d
-        d, fresh = _append_rows(basis, d, w, fresh)
+            check = min(math.ceil(dim * _CHECK_GROWTH), max(dim + b, target))
+        step += 1
+        grown = _append_rows(basis, d, w, fresh, orthogonal=full)
+        if grown is None:  # ill conditioned, and w not yet orthogonal
+            lost |= _full_pass(basis[:d], w, h[d0:d, :d])
+            grown = _append_rows(basis, d, w, fresh)
+        p0, d0 = d0, d
+        d, fresh = grown
         if d == d0:
             return None  # no direction left short of the whole space
     theta = theta[:b]
@@ -316,6 +361,14 @@ def _block_lanczos(lap: _EdgeListLaplacian, trivial: np.ndarray, k: int):
             raise VerificationError(
                 f"Ritz pair for {t} has residual {r}, above {TOL_ORTHO}"
             )
+    # a basis that lost orthogonality can hold a second, "ghost" copy of a
+    # converged Ritz vector, which passes the residual check
+    gram = float(np.max(np.abs(vectors @ vectors.T - np.eye(b))))
+    if not gram <= _RITZ_GRAM:
+        raise VerificationError(
+            f"Ritz vectors' Gram matrix is {gram} away from the identity,"
+            f" above {_RITZ_GRAM}"
+        )
     # theta ascends; L is positive semidefinite, so a Ritz value below 0 is
     # rounding (lambda_2 = 0 on a disconnected graph), sorted before the 0
     return np.sort(np.concatenate(([0.0], theta))), vectors

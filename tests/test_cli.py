@@ -91,7 +91,7 @@ class TestPartitionCommand:
         path = tmp_path / "disc.el"
         path.write_text(serialize_graph(generate_graph("clique-chain(2,5,0)")))
         assert main(["partition", "--k", "2", str(path)]) == 1
-        assert "eigenvalue" in capsys.readouterr().err
+        assert "lambda_2 must be positive" in capsys.readouterr().err
 
     def test_text_format(self, two_cliques_file, capsys):
         assert main(["partition", "--k", "2", "--format", "text",

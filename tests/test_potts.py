@@ -348,7 +348,7 @@ class TestThresholds:
                 lambda: required_beta_sse(
                     PartitionParams.from_graph(two_triangles(), 2), 2, 2, 2
                 ),
-                "the 2-th eigenvalue must be positive, got 0.0; "
+                "lambda_2 must be positive, got 0.0; "
                 "the graph has too many near-components",
                 id="lambda-k-sse",
             ),
@@ -356,7 +356,7 @@ class TestThresholds:
                 lambda: partition_into_expanders(
                     two_triangles(), PartitionParams.from_graph(two_triangles(), 2)
                 ),
-                "the 2-th eigenvalue must be positive, got 0.0; "
+                "lambda_2 must be positive, got 0.0; "
                 "the graph has too many near-components",
                 id="lambda-k-partitioner",
             ),
@@ -862,7 +862,7 @@ class TestSsePipeline:
     def test_disconnected_graph_is_refused(self):
         g = two_triangles()
         match = (
-            "the 2-th eigenvalue must be positive, got 0.0; "
+            "lambda_2 must be positive, got 0.0; "
             "the graph has too many near-components"
         )
         with pytest.raises(PreconditionError, match=match):

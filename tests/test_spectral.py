@@ -295,10 +295,116 @@ class TestBlockLanczos:
             "_dense_spectrum",
             lambda *args: calls.append(1) or dense(*args),
         )
+        # the basis as the last append left it: the rows that span the
+        # Ritz vectors
+        appended = []
+        append_rows = spectral_module._append_rows
+
+        def spy(basis, *args, **kwargs):
+            grown = append_rows(basis, *args, **kwargs)
+            if grown is not None:
+                appended.append((basis, grown[0]))
+            return grown
+
+        monkeypatch.setattr(spectral_module, "_append_rows", spy)
         s = normalized_laplacian_spectrum(g, 3)
         assert calls == []
         lam = np.linalg.eigvalsh(_textbook_laplacian(g))[:3]
         assert np.max(np.abs(np.array(s.eigenvalues) - lam)) <= 1e-12
+        basis, d = appended[-1]
+        assert d > 300
+        q = basis[:d]
+        assert np.max(np.abs(q @ q.T - np.eye(d))) <= 1e-12
+
+    @pytest.mark.parametrize(
+        "g, k",
+        _lanczos_cases(),
+        ids=["cycle12", "petersen", "K8", "2K5", "chain", "rr200", "lift300"],
+    )
+    def test_a_full_pass_on_every_step_matches_eigvalsh(
+        self, lanczos_only, monkeypatch, g, k
+    ):
+        # any lost orthogonality at all switches to a full pass every step
+        monkeypatch.setattr(spectral_module, "_ORTHO_LOSS", 0.0)
+        passes = []
+        append_rows = spectral_module._append_rows
+
+        def spy(basis, d, w, fresh, orthogonal=True):
+            passes.append(orthogonal)
+            return append_rows(basis, d, w, fresh, orthogonal)
+
+        monkeypatch.setattr(spectral_module, "_append_rows", spy)
+        s = normalized_laplacian_spectrum(g, k)
+        assert all(passes)
+        lam = np.linalg.eigvalsh(_textbook_laplacian(g))[:k]
+        assert np.max(np.abs(np.array(s.eigenvalues) - lam)) <= 1e-12
+
+    def test_ill_conditioned_blocks_are_orthogonal_to_the_basis(
+        self, lanczos_only, monkeypatch
+    ):
+        # the ill-conditioned path of _append_rows reads w's singular
+        # directions as new ones, so w has had a full pass before it
+        seen = []
+        append_rows = spectral_module._append_rows
+
+        def spy(basis, d, w, fresh, orthogonal=True):
+            sv = np.linalg.svd(w, compute_uv=False)
+            if orthogonal and sv[-1] <= spectral_module._WELL_CONDITIONED:
+                seen.append(float(np.max(np.abs(w @ basis[:d].T))))
+            return append_rows(basis, d, w, fresh, orthogonal)
+
+        monkeypatch.setattr(spectral_module, "_append_rows", spy)
+        normalized_laplacian_spectrum(clique_chain(4, 30, 1), 5)
+        assert len(seen) >= 3
+        assert max(seen) <= 1e-14
+
+    def test_every_check_follows_a_full_pass_on_its_step(
+        self, lanczos_only, monkeypatch
+    ):
+        # the residual estimate reads the newest block, so that block has
+        # had a full pass on the step of each Rayleigh-Ritz check; every
+        # check short of the last one places the next by the trend
+        events = []
+        full_pass = spectral_module._full_pass
+        extrapolated = spectral_module._extrapolated_dimension
+
+        def pass_spy(q, w, h_rows):
+            events.append(("pass", len(q) - 1))
+            return full_pass(q, w, h_rows)
+
+        def check_spy(last, dim, resid):
+            events.append(("check", dim))
+            return extrapolated(last, dim, resid)
+
+        monkeypatch.setattr(spectral_module, "_full_pass", pass_spy)
+        monkeypatch.setattr(spectral_module, "_extrapolated_dimension", check_spy)
+        normalized_laplacian_spectrum(random_regular(200, 3, 0), 3)
+        checks = [i for i, (kind, _) in enumerate(events) if kind == "check"]
+        assert len(checks) >= 3
+        for i in checks:
+            assert events[i - 1] == ("pass", events[i][1])
+        # most steps take no pass: a step adds a block of 2 rows, so a pass
+        # on every step would give passes[-1] // 2 of them
+        passes = [dim for kind, dim in events if kind == "pass"]
+        assert len(passes) < passes[-1] // 4
+
+    def test_a_ghost_ritz_vector_fails_the_gram_check(
+        self, lanczos_only, monkeypatch
+    ):
+        # a second copy of the lowest Ritz pair in place of the next one:
+        # what a basis that lost orthogonality returns, and its residual
+        # is as small as the original's
+        eigh = np.linalg.eigh
+
+        def ghost(a, UPLO="L"):
+            theta, s = eigh(a, UPLO=UPLO)
+            theta[1] = theta[0]
+            s[:, 1] = s[:, 0]
+            return theta, s
+
+        monkeypatch.setattr(spectral_module.np.linalg, "eigh", ghost)
+        with pytest.raises(VerificationError, match="Gram matrix"):
+            normalized_laplacian_spectrum(random_regular(200, 3, 0), 3)
 
 
 class TestSweepCut:
